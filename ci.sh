@@ -67,6 +67,10 @@
 #                     byte-identical); a malformed netlist must exit 2
 #                     with its source position before anything is
 #                     submitted
+#  17. benchmark pkg   perfbench/ is a workspace of its own, so stages
+#                     1-5 never build it: fmt, clippy -D warnings and its
+#                     tests run against its manifest, and one short
+#                     ssa_panels run must pass its E10 output checks
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -452,5 +456,16 @@ set -e
   || { echo "ci: bad netlist not rejected (exited $NL_BAD_STATUS, want 2)" >&2; exit 1; }
 echo "$NL_BAD_MSG" | grep -q "line 2" \
   || { echo "ci: bad-netlist error does not carry its source position: $NL_BAD_MSG" >&2; exit 1; }
+
+echo "== benchmark package: fmt, clippy, tests, one checked ssa_panels run =="
+# a kinetics API change (a removed method, a renamed type) must break here,
+# not in the next benchmark run
+cargo fmt --manifest-path perfbench/Cargo.toml --check
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload ssa_panels --seed 1 --seconds 1 --trace 0 > "$SWEEP_TMP/perfbench_ssa.txt" \
+  || { echo "ci: perfbench ssa_panels failed its output checks" >&2
+       tail -n 20 "$SWEEP_TMP/perfbench_ssa.txt" >&2; exit 1; }
 
 echo "ci: all stages passed"

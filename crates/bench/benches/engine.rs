@@ -4,9 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use molseq_crn::Crn;
-use molseq_kinetics::{
-    CompiledCrn, OdeMethod, OdeOptions, SimMethod, SimSpec, Simulation, SsaOptions, State,
-};
+use molseq_kinetics::{CompiledCrn, OdeMethod, OdeOptions, SimSpec, Simulation, SsaOptions, State};
 use molseq_sync::{Clock, DelayChain, SchemeConfig};
 
 /// A delay chain of `n` elements with a staged wavefront — the scaling
@@ -64,16 +62,6 @@ fn bench_stochastic(c: &mut Criterion) {
         b.iter(|| {
             Simulation::new(&crn, &compiled)
                 .init(&init)
-                .options(opts)
-                .run()
-                .expect("simulates")
-        });
-    });
-    group.bench_function("next_reaction_chain2_30tu", |b| {
-        b.iter(|| {
-            Simulation::new(&crn, &compiled)
-                .init(&init)
-                .method(SimMethod::Nrm)
                 .options(opts)
                 .run()
                 .expect("simulates")

@@ -30,9 +30,8 @@ pub struct RunConfig<'h> {
     /// Trace recording interval.
     pub record_interval: f64,
     /// Simulation method driving the kinetics. [`SimMethod::Ode`]
-    /// (the default), [`SimMethod::Ssa`] and [`SimMethod::Nrm`] are
-    /// supported; the tau-leaping methods reject the harness's input
-    /// triggers.
+    /// (the default) and [`SimMethod::Ssa`] are supported; the
+    /// tau-leaping methods reject the harness's input triggers.
     pub sim: SimMethod,
     /// ODE integration method (used when `sim` is [`SimMethod::Ode`]).
     pub method: OdeMethod,
@@ -298,7 +297,7 @@ pub fn drive_cycles(
     resources: CycleResources<'_>,
 ) -> Result<SyncRun, SyncError> {
     assert!(
-        matches!(config.sim, SimMethod::Ode | SimMethod::Ssa | SimMethod::Nrm),
+        matches!(config.sim, SimMethod::Ode | SimMethod::Ssa),
         "the cycle harness injects inputs via triggers, which tau-leaping does not support"
     );
     if cycles == 0 {

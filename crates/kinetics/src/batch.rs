@@ -31,6 +31,7 @@ use crate::compiled::CompiledCrn;
 use crate::events::{Injection, TriggerRuntime};
 use crate::metrics::SimMetrics;
 use crate::ode::{expected_records, initial_step, OdeMethod, OdeOptions};
+use crate::sim::check_record_interval;
 use crate::stiff::{assemble_w, Lu, Symbolic, C32, D};
 use crate::{Schedule, SimError, State, Trace};
 use molseq_crn::Crn;
@@ -246,7 +247,7 @@ impl<'a, 'h> LaneState<'a, 'h> {
                 t_end: opts.t_end(),
             }))
         } else {
-            None
+            check_record_interval(opts.record_interval()).err().map(Err)
         };
         let mut trace = Trace::with_capacity(crn, expected_records(&opts, lane.schedule));
         let triggers = TriggerRuntime::new(lane.schedule, lane.init.as_slice());

@@ -10,6 +10,12 @@
 //! contribution to its nonzero slot, letting
 //! [`jacobian_sparse`](CompiledCrn::jacobian_sparse) fill only the
 //! nonzeros in one pass with no searching.
+//!
+//! The stochastic side gets the same treatment: a reaction dependency
+//! graph, also CSR, lists for every reaction the reactions whose
+//! propensity reads a species its firing changes. The exact SSA keeps
+//! its propensities cached between events and re-evaluates only the
+//! fired reaction's row.
 
 use crate::SimSpec;
 use molseq_crn::{Crn, Rate};
@@ -89,6 +95,12 @@ pub struct CompiledCrn {
     /// exact iteration order of [`jacobian`](Self::jacobian) — the index of
     /// the nonzero slot it accumulates into.
     jac_slots: Vec<usize>,
+    /// CSR row pointers of the reaction dependency graph
+    /// (`reactions + 1` long).
+    dep_row_ptr: Vec<usize>,
+    /// Row `j` lists, ascending, every reaction with a reactant whose
+    /// count reaction `j` changes.
+    dep_col_idx: Vec<usize>,
 }
 
 impl CompiledCrn {
@@ -127,6 +139,7 @@ impl CompiledCrn {
             .collect();
         let (jac_row_ptr, jac_col_idx, jac_slots) =
             build_jacobian_pattern(crn.species_count(), &reactions);
+        let (dep_row_ptr, dep_col_idx) = build_dependency_graph(crn.species_count(), &reactions);
         CompiledCrn {
             species_count: crn.species_count(),
             structural_hash: crn.structural_hash(),
@@ -134,6 +147,8 @@ impl CompiledCrn {
             jac_row_ptr,
             jac_col_idx,
             jac_slots,
+            dep_row_ptr,
+            dep_col_idx,
         }
     }
 
@@ -740,6 +755,47 @@ impl CompiledCrn {
             n[i] = (n[i] + d).max(0);
         }
     }
+
+    /// The reactions whose propensity can change when reaction `j`
+    /// fires, ascending: every reaction with a reactant in
+    /// [`changed_species(j)`](Self::changed_species). `j` itself is
+    /// listed only if it reads a species it changes. A reaction outside
+    /// the row keeps its propensity bit for bit, since
+    /// [`propensity`](Self::propensity) reads nothing but its rate and
+    /// its reactants' counts.
+    pub(crate) fn dependents(&self, j: usize) -> &[usize] {
+        &self.dep_col_idx[self.dep_row_ptr[j]..self.dep_row_ptr[j + 1]]
+    }
+}
+
+/// Builds the CSR reaction dependency graph: row `j` is the sorted union,
+/// over the species reaction `j` changes, of the reactions reading that
+/// species.
+fn build_dependency_graph(
+    species_count: usize,
+    reactions: &[CompiledReaction],
+) -> (Vec<usize>, Vec<usize>) {
+    let mut readers: Vec<Vec<usize>> = vec![Vec::new(); species_count];
+    for (j, r) in reactions.iter().enumerate() {
+        for &(i, _) in &r.reactants {
+            readers[i].push(j);
+        }
+    }
+    let mut row_ptr = Vec::with_capacity(reactions.len() + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::new();
+    let mut row = Vec::new();
+    for r in reactions {
+        row.clear();
+        for &(i, _) in &r.delta_int {
+            row.extend_from_slice(&readers[i]);
+        }
+        row.sort_unstable();
+        row.dedup();
+        col_idx.extend_from_slice(&row);
+        row_ptr.push(col_idx.len());
+    }
+    (row_ptr, col_idx)
 }
 
 /// `Π_{s<stoich} max(x − s, 0) / stoich!` — the clamped continuous
@@ -1020,6 +1076,51 @@ mod tests {
         let rebound = base.rebind(&spec);
         assert_eq!(base.jacobian_pattern(), rebound.jacobian_pattern());
         assert_eq!(base.jacobian_nnz(), rebound.jacobian_nnz());
+    }
+
+    #[test]
+    fn dependency_graph_links_shared_species() {
+        let crn: Crn =
+            "A -> B @slow\nB -> C @slow\nC + A -> 0 @fast\n0 -> A @slow\nK + B -> K + C @fast"
+                .parse()
+                .unwrap();
+        let c = CompiledCrn::new(&crn, &SimSpec::default());
+        // r0 (A -> B) changes A and B: r0 and r2 read A, r1 and r4 read B
+        assert_eq!(c.dependents(0), [0, 1, 2, 4]);
+        // r1 (B -> C) changes B and C: r0 reads neither
+        assert_eq!(c.dependents(1), [1, 2, 4]);
+        // r2 (C + A -> 0) changes C and A
+        assert_eq!(c.dependents(2), [0, 2]);
+        // a zero-order source reads nothing, so it is not its own dependent
+        assert_eq!(c.dependents(3), [0, 2]);
+        // a catalyst is read but not changed: only B's and C's readers
+        assert_eq!(c.dependents(4), [1, 2, 4]);
+        // the graph is structural, so a rebind keeps it
+        let rebound = c.rebind(&SimSpec::new(RateAssignment::from_ratio(50.0)));
+        for j in 0..c.reaction_count() {
+            assert_eq!(rebound.dependents(j), c.dependents(j));
+        }
+    }
+
+    #[test]
+    fn reactions_outside_a_row_keep_their_propensity_bits() {
+        let crn = network();
+        let c = CompiledCrn::new(&crn, &SimSpec::new(RateAssignment::new(10.0, 2.0).unwrap()));
+        let n0 = [2i64, 5, 1, 3, 4];
+        for j in 0..c.reaction_count() {
+            let mut n = n0;
+            c.fire(j, &mut n);
+            let row = c.dependents(j);
+            for q in 0..c.reaction_count() {
+                if !row.contains(&q) {
+                    assert_eq!(
+                        c.propensity(q, &n).to_bits(),
+                        c.propensity(q, &n0).to_bits(),
+                        "firing {j} moved {q}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,18 @@ pub enum SimError {
         /// The offending amount.
         amount: f64,
     },
+    /// A stochastic amount exceeded `2^53`, above which an f64 no longer
+    /// holds every integer copy number exactly.
+    CountTooLarge {
+        /// The offending amount.
+        amount: f64,
+    },
+    /// The sampling interval is zero, negative or not finite, so the
+    /// recording loop could never advance past a sample.
+    BadRecordInterval {
+        /// The offending interval.
+        interval: f64,
+    },
     /// A step hook (see `OdeOptions::with_step_hook` /
     /// `SsaOptions::with_step_hook`) asked the simulator to stop — e.g. a
     /// sweep cell exceeded its cooperative wall/step budget mid-run.
@@ -82,6 +94,14 @@ impl fmt::Display for SimError {
                 f,
                 "amount {amount} is not a non-negative integer copy number"
             ),
+            SimError::CountTooLarge { amount } => write!(
+                f,
+                "amount {amount} exceeds 2^53, the largest exactly representable copy number"
+            ),
+            SimError::BadRecordInterval { interval } => write!(
+                f,
+                "record interval {interval} is not a finite positive time"
+            ),
             SimError::Interrupted { time, reason } => {
                 write!(f, "interrupted by step hook at t = {time}: {reason}")
             }
@@ -97,7 +117,7 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let errors: [SimError; 6] = [
+        let errors: [SimError; 8] = [
             SimError::StepLimitExceeded {
                 reached: 1.0,
                 t_end: 2.0,
@@ -116,6 +136,8 @@ mod tests {
                 t_end: 0.0,
             },
             SimError::NonIntegerAmount { amount: 0.5 },
+            SimError::CountTooLarge { amount: 1e300 },
+            SimError::BadRecordInterval { interval: 0.0 },
             SimError::Interrupted {
                 time: 3.0,
                 reason: "budget".into(),

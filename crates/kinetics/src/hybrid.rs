@@ -589,10 +589,10 @@ pub(crate) fn run_hybrid(
         });
     }
     // The NaN-rejecting form: `!(x > 0)` also catches NaN. Numeric knobs
-    // out of range surface as BadTimeSpan like the tau-leapers' do.
+    // out of range surface as BadTimeSpan like the tau-leapers' do (the
+    // builder has already rejected a bad record interval).
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    let bad_knob = !(opts.record_interval > 0.0)
-        || !(opts.h_max > 0.0)
+    let bad_knob = !(opts.h_max > 0.0)
         || !(opts.rtol > 0.0)
         || !(opts.atol > 0.0)
         || !(opts.repartition_interval >= 0.0)
@@ -1205,7 +1205,6 @@ mod tests {
         for opts in [
             HybridOptions::default().with_t_end(f64::NAN),
             HybridOptions::default().with_t_end(0.0),
-            HybridOptions::default().with_record_interval(0.0),
             HybridOptions::default().with_rtol(-1.0),
             HybridOptions::default().with_h_max(f64::NAN),
             HybridOptions::default().with_repartition_interval(f64::NAN),
@@ -1218,6 +1217,14 @@ mod tests {
                 .expect_err("must reject");
             assert!(matches!(err, SimError::BadTimeSpan { .. }), "{opts:?}");
         }
+        // the builder rejects an unusable sampling interval for every
+        // method, before the hybrid engine's own knob checks
+        let err = Simulation::new(&crn, &compiled)
+            .init(&init)
+            .options(HybridOptions::default().with_record_interval(0.0))
+            .run()
+            .expect_err("must reject");
+        assert!(matches!(err, SimError::BadRecordInterval { .. }), "{err:?}");
     }
 
     #[test]

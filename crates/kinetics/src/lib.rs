@@ -1,6 +1,6 @@
 //! # molseq-kinetics — simulators for chemical reaction networks
 //!
-//! Six integrators over the [`molseq_crn::Crn`] model, all driven through
+//! Five integrators over the [`molseq_crn::Crn`] model, all driven through
 //! the [`Simulation`] builder and selected by [`SimMethod`]:
 //!
 //! * **Deterministic mass-action ODE** integration ([`SimMethod::Ode`])
@@ -9,9 +9,10 @@
 //!   workhorse behind every figure of the paper reproduction: the paper
 //!   validates its designs "through ODE simulations of the mass-action
 //!   chemical kinetics".
-//! * **Exact stochastic simulation** ([`SimMethod::Ssa`],
-//!   [`SimMethod::Nrm`]) over integer copy numbers, used to check that the
-//!   constructs survive molecular noise at finite counts (experiment E10).
+//! * **Exact stochastic simulation** ([`SimMethod::Ssa`], Gillespie's
+//!   direct method with dependency-graph propensity updates) over integer
+//!   copy numbers, used to check that the constructs survive molecular
+//!   noise at finite counts (experiment E10).
 //! * **Tau-leaping**, explicit ([`SimMethod::TauLeap`]) and
 //!   stiffness-aware implicit ([`SimMethod::TauLeapImplicit`]), for the
 //!   large-count and stiff regimes where exact methods crawl.
@@ -60,7 +61,6 @@ mod error;
 mod events;
 mod hybrid;
 mod metrics;
-mod nrm;
 mod ode;
 mod plot;
 mod replicate;

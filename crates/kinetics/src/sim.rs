@@ -1,7 +1,8 @@
 //! The unified simulation front end.
 //!
-//! Every integrator in this crate — deterministic ODE, exact SSA/NRM, and
-//! the explicit/implicit tau-leapers — is driven through one builder:
+//! Every integrator in this crate — deterministic ODE, exact SSA, the
+//! explicit/implicit tau-leapers and the hybrid engine — is driven through
+//! one builder:
 //!
 //! ```
 //! use molseq_crn::Crn;
@@ -22,13 +23,12 @@
 //! # }
 //! ```
 //!
-//! The method is normally inferred from the options genre
-//! ([`OdeOptions`] → [`SimMethod::Ode`], [`SsaOptions`] →
-//! [`SimMethod::Ssa`], and so on); only [`SimMethod::Nrm`] — which shares
-//! [`SsaOptions`] with the direct method — must be requested explicitly
-//! via [`Simulation::method`]. The builder is the single entry point to
-//! every integrator: running the same options twice produces
-//! bit-identical traces.
+//! The method is inferred from the options genre ([`OdeOptions`] →
+//! [`SimMethod::Ode`], [`SsaOptions`] → [`SimMethod::Ssa`], and so on);
+//! [`Simulation::method`] selects one explicitly, e.g. to run it on its
+//! default options. The builder is the single entry point to every
+//! integrator: running the same options twice produces bit-identical
+//! traces.
 
 use crate::compiled::CompiledCrn;
 use crate::hybrid::HybridOptions;
@@ -47,10 +47,6 @@ pub enum SimMethod {
     Ode,
     /// Gillespie's direct stochastic simulation algorithm.
     Ssa,
-    /// Gibson–Bruck next-reaction method (exact, like SSA, but with a
-    /// dependency-graph-driven event queue). Shares [`SsaOptions`] with
-    /// the direct method, so it must be selected explicitly.
-    Nrm,
     /// Explicit (Cao–Gillespie) tau-leaping.
     TauLeap,
     /// Stiffness-aware tau-leaping that switches per leap between the
@@ -69,8 +65,7 @@ pub enum SimMethod {
 pub enum SimOptions<'h> {
     /// Deterministic options ([`SimMethod::Ode`]).
     Ode(OdeOptions<'h>),
-    /// Exact stochastic options ([`SimMethod::Ssa`] or, selected
-    /// explicitly, [`SimMethod::Nrm`]).
+    /// Exact stochastic options ([`SimMethod::Ssa`]).
     Stochastic(SsaOptions<'h>),
     /// Explicit tau-leaping options ([`SimMethod::TauLeap`]).
     TauLeap(TauLeapOptions<'h>),
@@ -127,7 +122,7 @@ impl<'h> SimOptions<'h> {
         matches!(
             (self, method),
             (SimOptions::Ode(_), SimMethod::Ode)
-                | (SimOptions::Stochastic(_), SimMethod::Ssa | SimMethod::Nrm)
+                | (SimOptions::Stochastic(_), SimMethod::Ssa)
                 | (SimOptions::TauLeap(_), SimMethod::TauLeap)
                 | (SimOptions::TauLeapImplicit(_), SimMethod::TauLeapImplicit)
                 | (SimOptions::Hybrid(_), SimMethod::Hybrid)
@@ -138,12 +133,23 @@ impl<'h> SimOptions<'h> {
     fn defaults_for(method: SimMethod) -> Self {
         match method {
             SimMethod::Ode => SimOptions::Ode(OdeOptions::default()),
-            SimMethod::Ssa | SimMethod::Nrm => SimOptions::Stochastic(SsaOptions::default()),
+            SimMethod::Ssa => SimOptions::Stochastic(SsaOptions::default()),
             SimMethod::TauLeap => SimOptions::TauLeap(TauLeapOptions::default()),
             SimMethod::TauLeapImplicit => {
                 SimOptions::TauLeapImplicit(TauLeapImplicitOptions::default())
             }
             SimMethod::Hybrid => SimOptions::Hybrid(HybridOptions::default()),
+        }
+    }
+
+    /// The sampling interval of the trace.
+    fn record_interval(&self) -> f64 {
+        match self {
+            SimOptions::Ode(o) => o.record_interval(),
+            SimOptions::Stochastic(o) => o.record_interval(),
+            SimOptions::TauLeap(o) => o.base.record_interval(),
+            SimOptions::TauLeapImplicit(o) => o.base.base.record_interval(),
+            SimOptions::Hybrid(o) => o.record_interval(),
         }
     }
 
@@ -220,9 +226,8 @@ impl<'a, 'h> Simulation<'a, 'h> {
         self
     }
 
-    /// Selects the integrator explicitly. Only needed for
-    /// [`SimMethod::Nrm`] (which shares options with [`SimMethod::Ssa`])
-    /// or to run a method on its default options; otherwise the genre of
+    /// Selects the integrator explicitly. Only needed to run a method on
+    /// its default options; otherwise the genre of
     /// [`Simulation::options`] picks the method.
     #[must_use]
     pub fn method(mut self, method: SimMethod) -> Self {
@@ -276,9 +281,11 @@ impl<'a, 'h> Simulation<'a, 'h> {
     ///
     /// # Errors
     ///
-    /// Whatever the dispatched integrator reports: dimension mismatches,
-    /// bad time spans, exhausted step budgets, hook interruptions,
-    /// non-finite states.
+    /// [`SimError::BadRecordInterval`] for a sampling interval that is
+    /// not finite and positive, whatever the method; otherwise whatever
+    /// the dispatched integrator reports: dimension mismatches, bad time
+    /// spans, exhausted step budgets, hook interruptions, non-finite
+    /// states.
     pub fn run(self) -> Result<Trace, SimError> {
         let Simulation {
             crn,
@@ -320,6 +327,7 @@ impl<'a, 'h> Simulation<'a, 'h> {
         if let Some(sink) = metrics {
             options.set_metrics(sink);
         }
+        check_record_interval(options.record_interval())?;
 
         match (method, options) {
             (SimMethod::Ode, SimOptions::Ode(opts)) => match workspace {
@@ -331,9 +339,6 @@ impl<'a, 'h> Simulation<'a, 'h> {
             },
             (SimMethod::Ssa, SimOptions::Stochastic(opts)) => {
                 crate::ssa::run_ssa(crn, compiled, init, schedule, &opts)
-            }
-            (SimMethod::Nrm, SimOptions::Stochastic(opts)) => {
-                crate::nrm::run_nrm(crn, compiled, init, schedule, &opts)
             }
             (SimMethod::TauLeap, SimOptions::TauLeap(opts)) => {
                 crate::tau::run_tau(crn, compiled, init, schedule, &opts)
@@ -359,6 +364,18 @@ impl<'a, 'h> Simulation<'a, 'h> {
             // `supports` was asserted above; inferred methods always match.
             _ => unreachable!("method/options genre mismatch survived validation"),
         }
+    }
+}
+
+/// Rejects a sampling interval the recording loops cannot advance by:
+/// every engine samples with `while next <= until { push; next += dt }`,
+/// which never ends for `dt <= 0` and never records for a NaN or
+/// infinite `dt`.
+pub(crate) fn check_record_interval(interval: f64) -> Result<(), SimError> {
+    if interval.is_finite() && interval > 0.0 {
+        Ok(())
+    } else {
+        Err(SimError::BadRecordInterval { interval })
     }
 }
 
@@ -415,7 +432,7 @@ mod tests {
         let sink = Cell::new(crate::SimMetrics::default());
         Simulation::new(&crn, &compiled)
             .init(&init)
-            .method(SimMethod::Nrm)
+            .method(SimMethod::Ssa)
             .metrics(&sink)
             .run()
             .unwrap();
@@ -503,20 +520,55 @@ mod tests {
                 .unwrap();
             assert_eq!(first, second, "{label}");
         }
-        // NRM shares SsaOptions and must be selected explicitly.
-        let first = Simulation::new(&crn, &compiled)
-            .init(&init)
-            .method(SimMethod::Nrm)
-            .options(ssa_opts)
-            .run()
-            .unwrap();
-        let second = Simulation::new(&crn, &recompiled)
-            .init(&init)
-            .method(SimMethod::Nrm)
-            .options(ssa_opts)
-            .run()
-            .unwrap();
-        assert_eq!(first, second, "NRM");
+    }
+
+    /// A zero or negative sampling interval would hang every engine's
+    /// recording loop, so the builder rejects it, and a non-finite one,
+    /// for every method before any work.
+    #[test]
+    fn unusable_record_intervals_are_rejected_for_every_method() {
+        let (crn, compiled, init) = decay_setup();
+        for dt in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let sink = Cell::new(crate::SimMetrics::default());
+            let ssa = SsaOptions::default().with_record_interval(dt);
+            let tau = TauLeapOptions {
+                base: ssa,
+                ..TauLeapOptions::default()
+            };
+            let runs: Vec<(&str, SimOptions)> = vec![
+                ("ODE", OdeOptions::default().with_record_interval(dt).into()),
+                ("SSA", ssa.into()),
+                ("tau-leap", tau.into()),
+                (
+                    "implicit tau-leap",
+                    TauLeapImplicitOptions {
+                        base: tau,
+                        ..TauLeapImplicitOptions::default()
+                    }
+                    .into(),
+                ),
+                (
+                    "hybrid",
+                    crate::HybridOptions::default()
+                        .with_record_interval(dt)
+                        .into(),
+                ),
+            ];
+            for (label, opts) in runs {
+                let err = Simulation::new(&crn, &compiled)
+                    .init(&init)
+                    .options(opts)
+                    .metrics(&sink)
+                    .run()
+                    .expect_err("must reject");
+                assert!(
+                    matches!(err, SimError::BadRecordInterval { interval } if interval.to_bits() == dt.to_bits()),
+                    "{label} at {dt}: {err:?}"
+                );
+            }
+            // rejected before any work: nothing was flushed
+            assert_eq!(sink.get(), crate::SimMetrics::default());
+        }
     }
 
     #[test]

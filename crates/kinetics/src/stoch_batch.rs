@@ -1,38 +1,42 @@
 //! Lock-step batched stochastic simulation: N structurally identical
-//! cells, one shared compiled network, structure-of-arrays propensities.
+//! cells, one shared compiled network.
 //!
 //! The stochastic workloads behind E10 (and the Markov-chain / pattern-
 //! recognition experiment families on the roadmap) simulate one network
-//! under many seeds or rate bindings: every cell shares the CRN structure,
-//! hence the reactant index lists the propensity evaluation walks.
-//! [`run_ssa_batch`] and [`run_tau_batch`] exploit that by advancing up to
-//! `width` lanes round-robin through one shared [`CompiledCrn`]: each
-//! round recomputes every live lane's propensities in a single
-//! species-major, lane-contiguous SoA kernel
-//! (`CompiledCrn::propensity_batch`, stride-1 over lanes, autovectorized —
-//! no intrinsics, plain `std`), then plays exactly one iteration of the
-//! scalar event loop per lane — one Gillespie event (or plateau segment)
-//! for SSA, one leap or exact step for tau-leaping. Tau lanes leap in
-//! lock-step; SSA lanes advance round-robin toward the shared horizon
-//! `t_end`.
+//! under many seeds or rate bindings: every cell shares the CRN structure.
+//! [`run_ssa_batch`] and [`run_tau_batch`] advance up to `width` such
+//! lanes round-robin, playing exactly one iteration of the scalar loop per
+//! lane per round — one Gillespie event (or plateau segment) for SSA, one
+//! leap or exact step for tau-leaping.
+//!
+//! The two drivers share the round structure but not the propensity
+//! bookkeeping. An SSA lane is a scalar direct-method run
+//! (`crate::ssa::SsaRun`) with its own cached propensity row, updated
+//! after each event through the network's dependency graph — the same
+//! event step the scalar path takes, so a lane costs what a scalar run
+//! costs. Tau lanes leap in lock-step and recompute every live lane's
+//! propensities each round in one species-major, lane-contiguous SoA
+//! kernel (`CompiledCrn::propensity_batch`, stride-1 over lanes,
+//! autovectorized — no intrinsics, plain `std`): a leap reads every
+//! propensity anyway.
 //!
 //! **Determinism contract.** Every lane reproduces the scalar
 //! [`run_ssa`](crate::ssa)/[`run_tau`](crate::tau) path *bit for bit*, at
 //! any batch width: lanes share index structure, never floating-point
 //! values and never RNG draws. Each lane keeps its own `StdRng` stream
 //! (seeded from its own options), its own event/leap counters and
-//! metrics, and consumes draws in exactly the scalar order — the SoA
-//! propensity row merely stands in for the scalar loop-top recompute,
-//! which is a pure function of the lane's state and so bitwise equal.
-//! Lanes that finish, fail, or get budget-cut *retire*: they flush their
-//! metrics (stamped with the batch width and a retirement ordinal) and
-//! stop contributing to the rounds, while surviving lanes continue
-//! unperturbed.
+//! metrics, and consumes draws in exactly the scalar order — the tau
+//! lanes' SoA propensity row merely stands in for the scalar loop-top
+//! recompute, which is a pure function of the lane's state and so bitwise
+//! equal. Lanes that finish, fail, or get budget-cut *retire*: they flush
+//! their metrics (stamped with the batch width and a retirement ordinal)
+//! and stop taking turns, while surviving lanes continue unperturbed.
 
 use crate::compiled::CompiledCrn;
-use crate::events::{Injection, TriggerRuntime};
+use crate::events::Injection;
 use crate::metrics::SimMetrics;
-use crate::ssa::{record_until, select_reaction, sync_back, to_count};
+use crate::sim::check_record_interval;
+use crate::ssa::{self, record_until, select_reaction, to_count, SsaRun};
 use crate::tau::{apply_injection, poisson, TauLeapOptions};
 use crate::{Schedule, SimError, SsaOptions, State, Trace};
 use molseq_crn::Crn;
@@ -72,10 +76,11 @@ pub struct TauBatchLane<'a, 'h> {
     pub options: TauLeapOptions<'h>,
 }
 
-/// Reusable storage for [`run_ssa_batch`]/[`run_tau_batch`]: the
-/// structure-of-arrays copy-number and propensity buffers, sized lazily
-/// per call and reused across calls (consecutive sweep batches over the
-/// same network structure pay no re-allocation).
+/// Reusable storage for [`run_tau_batch`]: the structure-of-arrays
+/// copy-number and propensity buffers, sized lazily per call and reused
+/// across calls (consecutive sweep batches over the same network
+/// structure pay no re-allocation). [`run_ssa_batch`] takes one too, but
+/// its lanes keep their propensity rows in their own run state.
 #[derive(Default)]
 pub struct BatchedStochWorkspace {
     /// SoA copy numbers, `species × width`, lane-contiguous.
@@ -107,16 +112,14 @@ impl BatchedStochWorkspace {
     }
 }
 
-/// Everything one stochastic lane owns: the scalar core's locals,
+/// Everything one tau-leap lane owns: the scalar core's locals,
 /// per-lane.
-struct StochLane<'a, 'h> {
+struct TauLane<'a, 'h> {
     compiled: &'a CompiledCrn,
-    schedule: &'a Schedule,
     base: SsaOptions<'h>,
     epsilon: f64,
     injections: Vec<Injection>,
     next_injection: usize,
-    triggers: TriggerRuntime,
     n: Vec<i64>,
     f: Vec<f64>,
     rng: StdRng,
@@ -124,8 +127,8 @@ struct StochLane<'a, 'h> {
     stats: SimMetrics,
     t: f64,
     next_record: f64,
-    /// SSA events fired (direct method) or loop steps taken (tau) — the
-    /// counter the scalar cores budget against `max_events`.
+    /// Loop steps taken — the counter the scalar core budgets against
+    /// `max_events`.
     events: usize,
     /// An initial-state conversion error: in the scalar cores this is a
     /// *core* error (metrics flush), unlike validation errors (no flush).
@@ -134,12 +137,12 @@ struct StochLane<'a, 'h> {
     done: Option<Result<(), SimError>>,
 }
 
-impl<'a, 'h> StochLane<'a, 'h> {
+impl<'a, 'h> TauLane<'a, 'h> {
     fn new(
         crn: &Crn,
         compiled: &'a CompiledCrn,
         init: &State,
-        schedule: &'a Schedule,
+        schedule: &Schedule,
         base: SsaOptions<'h>,
         epsilon: f64,
         validation: Option<SimError>,
@@ -168,17 +171,12 @@ impl<'a, 'h> StochLane<'a, 'h> {
         if live {
             trace.push(base.t_start(), &f);
         }
-        // dead lanes get a runtime over a zero state: never polled, but
-        // keeps construction total even when `init` has the wrong length
-        let triggers = TriggerRuntime::new(schedule, &f);
-        StochLane {
+        TauLane {
             compiled,
-            schedule,
             base,
             epsilon,
             injections: schedule.sorted_injections(),
             next_injection: 0,
-            triggers,
             n,
             f,
             rng: StdRng::seed_from_u64(base.seed()),
@@ -197,28 +195,33 @@ impl<'a, 'h> StochLane<'a, 'h> {
     }
 }
 
-/// Finishes a lane: flushes its metrics (every core exit path reports its
-/// cost, as in the scalar drivers), stamped with the batch width and the
-/// retirement ordinal, and marks it done so the rounds skip it.
-fn retire(st: &mut StochLane, outcome: Result<(), SimError>, wd: usize, retired: &mut u64) {
-    st.stats.final_time = st.t;
-    st.stats.batch_width = wd as u64;
-    st.stats.lanes_retired = *retired;
+/// Stamps a retiring lane's counters with the batch width and its
+/// retirement ordinal.
+fn stamp(stats: &mut SimMetrics, wd: usize, retired: &mut u64) {
+    stats.batch_width = wd as u64;
+    stats.lanes_retired = *retired;
     *retired += 1;
+}
+
+/// Finishes a tau lane: flushes its metrics (every core exit path reports
+/// its cost, as in the scalar drivers), stamped with the batch width and
+/// the retirement ordinal, and marks it done so the rounds skip it.
+fn retire(st: &mut TauLane, outcome: Result<(), SimError>, wd: usize, retired: &mut u64) {
+    st.stats.final_time = st.t;
+    stamp(&mut st.stats, wd, retired);
     SimMetrics::flush(st.base.metrics(), st.stats);
     st.done = Some(outcome);
 }
 
-/// The shared driver prologue: retire initial-state conversion failures
+/// The tau driver's prologue: retire initial-state conversion failures
 /// (with a metrics flush, like the scalar cores), pick the reference
 /// network, assert structure sharing, and pack the per-lane rates.
 /// Returns `false` when no lane survived.
 fn setup(
-    states: &mut [StochLane],
+    states: &mut [TauLane],
     workspace: &mut BatchedStochWorkspace,
     wd: usize,
     retired: &mut u64,
-    entry: &str,
 ) -> bool {
     for st in states.iter_mut() {
         if let Some(e) = st.pending.take() {
@@ -231,7 +234,7 @@ fn setup(
     for st in states.iter().filter(|s| s.done.is_none()) {
         assert!(
             st.compiled.structural_hash() == reference.structural_hash(),
-            "{entry} lanes must share one network structure"
+            "run_tau_batch lanes must share one network structure"
         );
     }
     workspace.prepare(reference, wd);
@@ -254,7 +257,7 @@ fn setup(
 /// runs the vectorized kernel over the full width.
 fn recompute_round(
     reference: &CompiledCrn,
-    states: &[StochLane],
+    states: &[TauLane],
     workspace: &mut BatchedStochWorkspace,
     wd: usize,
 ) {
@@ -270,7 +273,7 @@ fn recompute_round(
 }
 
 /// Unpacks the final per-lane results in input order.
-fn finish(states: Vec<StochLane>) -> Vec<Result<Trace, SimError>> {
+fn finish(states: Vec<TauLane>) -> Vec<Result<Trace, SimError>> {
     states
         .into_iter()
         .map(|s| match s.done.expect("every lane settled") {
@@ -282,10 +285,11 @@ fn finish(states: Vec<StochLane>) -> Vec<Result<Trace, SimError>> {
 
 /// Simulates up to `lanes.len()` structurally identical cells with the
 /// Gillespie direct method, advancing the lanes round-robin (one event
-/// per lane per round) with shared SoA propensity recomputation, and
-/// returns one result per lane in input order. See the module docs for
-/// the determinism contract; each lane's trace, metrics and error
-/// behavior are bit-identical to running it alone through
+/// per lane per round), and returns one result per lane in input order.
+/// Each lane runs the scalar event step on its own cached propensity row;
+/// `workspace` is not used. See the module docs for the determinism
+/// contract; each lane's trace, metrics and error behavior are
+/// bit-identical to running it alone through
 /// [`Simulation`](crate::Simulation) with
 /// [`SimMethod::Ssa`](crate::SimMethod::Ssa).
 ///
@@ -296,162 +300,59 @@ fn finish(states: Vec<StochLane>) -> Vec<Result<Trace, SimError>> {
 pub fn run_ssa_batch<'h>(
     crn: &Crn,
     lanes: &[SsaBatchLane<'_, 'h>],
-    workspace: &mut BatchedStochWorkspace,
+    _workspace: &mut BatchedStochWorkspace,
 ) -> Vec<Result<Trace, SimError>> {
     let wd = lanes.len();
-    if wd == 0 {
-        return Vec::new();
-    }
-    let mut states: Vec<StochLane> = lanes
-        .iter()
-        .map(|lane| {
-            // validation mirrors run_ssa's, per lane
-            let opts = &lane.options;
-            let validation = if lane.compiled.species_count() != crn.species_count() {
-                Some(SimError::DimensionMismatch {
-                    supplied: lane.compiled.species_count(),
-                    expected: crn.species_count(),
-                })
-            } else if lane.init.len() != crn.species_count() {
-                Some(SimError::DimensionMismatch {
-                    supplied: lane.init.len(),
-                    expected: crn.species_count(),
-                })
-            } else if !opts.t_start().is_finite()
-                || !opts.t_end().is_finite()
-                || opts.t_end() <= opts.t_start()
-            {
-                Some(SimError::BadTimeSpan {
-                    t_start: opts.t_start(),
-                    t_end: opts.t_end(),
-                })
-            } else {
-                None
-            };
-            StochLane::new(
-                crn,
-                lane.compiled,
-                lane.init,
-                lane.schedule,
-                lane.options,
-                0.0,
-                validation,
-            )
-        })
-        .collect();
     let mut retired: u64 = 0;
-    if !setup(&mut states, workspace, wd, &mut retired, "run_ssa_batch") {
-        return finish(states);
+    let mut results: Vec<Option<Result<Trace, SimError>>> = Vec::with_capacity(wd);
+    let mut runs: Vec<Option<SsaRun>> = Vec::with_capacity(wd);
+    for lane in lanes {
+        let opts = lane.options;
+        // a validation error settles the lane without a flush, like the
+        // scalar driver's; an unusable initial state flushes, stamped
+        let started = ssa::validate(crn, lane.compiled, lane.init, &opts).and_then(|()| {
+            SsaRun::new(crn, lane.compiled, lane.init, lane.schedule, opts).inspect_err(|_| {
+                let mut stats = ssa::started(&opts);
+                stamp(&mut stats, wd, &mut retired);
+                SimMetrics::flush(opts.metrics(), stats);
+            })
+        });
+        match started {
+            Ok(run) => {
+                runs.push(Some(run));
+                results.push(None);
+            }
+            Err(e) => {
+                runs.push(None);
+                results.push(Some(Err(e)));
+            }
+        }
     }
-    let reference = states
+    let mut live = lanes
         .iter()
-        .find(|s| s.done.is_none())
-        .map(|s| s.compiled)
-        .expect("setup found a live lane");
-    while states.iter().any(|s| s.done.is_none()) {
-        recompute_round(reference, &states, workspace, wd);
-        for (l, st) in states.iter_mut().enumerate().take(wd) {
-            if st.done.is_some() {
-                continue;
-            }
-            for (j, p) in workspace.lane_props.iter_mut().enumerate() {
-                *p = workspace.props[j * wd + l];
-            }
-            ssa_lane_round(st, &workspace.lane_props, wd, &mut retired);
-        }
+        .zip(&runs)
+        .filter(|(_, run)| run.is_some())
+        .map(|(lane, _)| lane.compiled.structural_hash());
+    if let Some(first) = live.next() {
+        assert!(
+            live.all(|h| h == first),
+            "run_ssa_batch lanes must share one network structure"
+        );
     }
-    finish(states)
-}
-
-/// One iteration of the scalar `ssa_core` loop for one lane: the round's
-/// SoA-computed propensity row stands in for the loop-top recompute
-/// (bitwise equal — propensities are pure in the lane's state, which is
-/// unchanged since the round gathered it).
-fn ssa_lane_round(st: &mut StochLane, lane_props: &[f64], wd: usize, retired: &mut u64) {
-    let injection_time = st
-        .injections
-        .get(st.next_injection)
-        .map_or(f64::INFINITY, |inj| inj.time);
-
-    // Total propensity and waiting time.
-    let mut a0 = 0.0;
-    for &p in lane_props {
-        a0 += p;
-    }
-    let t_next = if a0 > 0.0 {
-        let u: f64 = 1.0 - st.rng.random::<f64>();
-        st.t - u.ln() / a0
-    } else {
-        f64::INFINITY
-    };
-
-    // Which comes first: reaction, injection, or end of span?
-    let stop = st.base.t_end().min(injection_time);
-    if t_next >= stop {
-        record_until(&mut st.trace, &st.f, &mut st.next_record, stop, &st.base);
-        st.t = stop;
-        st.stats.final_time = st.t;
-        if injection_time <= st.base.t_end() {
-            let inj = &st.injections[st.next_injection];
-            match to_count(inj.amount) {
-                Ok(c) => st.n[inj.species.index()] += c,
-                Err(e) => return retire(st, Err(e), wd, retired),
-            }
-            st.f[inj.species.index()] = st.n[inj.species.index()] as f64;
-            st.trace.push(st.t, &st.f);
-            st.next_injection += 1;
-            for fired in st.triggers.poll(st.schedule, st.t, &mut st.f) {
-                st.trace.push_mark(st.t, fired);
-                if let Err(e) = sync_back(&mut st.n, &st.f) {
-                    return retire(st, Err(e), wd, retired);
-                }
-            }
-            return; // scalar `continue`: next round recomputes
-        }
-        // span complete: push the final sample, succeed
-        st.trace.push(st.t, &st.f);
-        return retire(st, Ok(()), wd, retired);
-    }
-
-    // Fire one reaction.
-    if st.events >= st.base.max_events() {
-        let err = SimError::StepLimitExceeded {
-            reached: st.t,
-            t_end: st.base.t_end(),
-            max_steps: st.base.max_events(),
-        };
-        return retire(st, Err(err), wd, retired);
-    }
-    st.events += 1;
-    st.stats.ssa_events = st.events as u64;
-    if let Some(hook) = st.base.step_hook() {
-        if let ControlFlow::Break(reason) = hook(st.events as u64, st.t) {
-            return retire(
-                st,
-                Err(SimError::Interrupted { time: st.t, reason }),
-                wd,
-                retired,
-            );
-        }
-    }
-    record_until(&mut st.trace, &st.f, &mut st.next_record, t_next, &st.base);
-    st.t = t_next;
-    st.stats.final_time = st.t;
-    let pick: f64 = st.rng.random::<f64>() * a0;
-    let chosen = select_reaction(lane_props.len(), |j| lane_props[j], pick);
-    st.compiled.fire(chosen, &mut st.n);
-    for (fv, &c) in st.f.iter_mut().zip(&st.n) {
-        *fv = c as f64;
-    }
-    if !st.schedule.triggers().is_empty() {
-        for fired in st.triggers.poll(st.schedule, st.t, &mut st.f) {
-            st.trace.push_mark(st.t, fired);
-            st.trace.push(st.t, &st.f);
-            if let Err(e) = sync_back(&mut st.n, &st.f) {
-                return retire(st, Err(e), wd, retired);
+    while runs.iter().any(Option::is_some) {
+        for (slot, result) in runs.iter_mut().zip(&mut results) {
+            let Some(run) = slot else { continue };
+            if let ControlFlow::Break(outcome) = run.step() {
+                let mut run = slot.take().expect("the lane was live");
+                stamp(&mut run.stats, wd, &mut retired);
+                *result = Some(run.finish(outcome));
             }
         }
     }
+    results
+        .into_iter()
+        .map(|r| r.expect("every lane settled"))
+        .collect()
 }
 
 /// Simulates up to `lanes.len()` structurally identical cells with
@@ -483,7 +384,7 @@ pub fn run_tau_batch<'h>(
             "tau-leaping does not support triggers"
         );
     }
-    let mut states: Vec<StochLane> = lanes
+    let mut states: Vec<TauLane> = lanes
         .iter()
         .map(|lane| {
             // validation mirrors run_tau's, per lane
@@ -508,9 +409,9 @@ pub fn run_tau_batch<'h>(
                     t_end: base.t_end(),
                 })
             } else {
-                None
+                check_record_interval(base.record_interval()).err()
             };
-            StochLane::new(
+            TauLane::new(
                 crn,
                 lane.compiled,
                 lane.init,
@@ -522,7 +423,7 @@ pub fn run_tau_batch<'h>(
         })
         .collect();
     let mut retired: u64 = 0;
-    if !setup(&mut states, workspace, wd, &mut retired, "run_tau_batch") {
+    if !setup(&mut states, workspace, wd, &mut retired) {
         return finish(states);
     }
     let reference = states
@@ -551,7 +452,7 @@ pub fn run_tau_batch<'h>(
 /// recomputing; computing the pure, draw-free propensities early is
 /// unobservable).
 #[allow(clippy::too_many_lines)]
-fn tau_lane_round(st: &mut StochLane, lane_props: &[f64], wd: usize, retired: &mut u64) {
+fn tau_lane_round(st: &mut TauLane, lane_props: &[f64], wd: usize, retired: &mut u64) {
     let m = lane_props.len();
     // loop condition: `while t < t_end`
     if st.t >= st.base.t_end() {

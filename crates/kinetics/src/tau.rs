@@ -1,8 +1,8 @@
 //! Approximate accelerated stochastic simulation (explicit tau-leaping).
 //!
-//! The exact methods ([`simulate_ssa`](crate::simulate_ssa),
-//! [`simulate_nrm`](crate::simulate_nrm)) fire one reaction per step; when
-//! propensities are large that is millions of events per time unit.
+//! The exact method ([`SimMethod::Ssa`](crate::SimMethod::Ssa)) fires one
+//! reaction per step; when propensities are large that is millions of
+//! events per time unit.
 //! Tau-leaping advances by a step `τ` chosen so that no propensity changes
 //! by more than a fraction `epsilon` (the standard Cao–Gillespie step
 //! selection), firing a Poisson-distributed batch of each reaction at

@@ -516,6 +516,14 @@ fn parse_submit(doc: &JsonValue) -> Result<SubmitRequest, ProtocolError> {
     if !t_end.is_finite() || t_end <= 0.0 {
         return Err(ProtocolError::new("`t_end` must be a finite positive time"));
     }
+    // a sampling interval of zero or below would spin a worker's
+    // recording loop forever; an absent (or null) one takes the default
+    let record_interval = opt_f64(doc, "record_interval");
+    if record_interval.is_some_and(|dt| !dt.is_finite() || dt <= 0.0) {
+        return Err(ProtocolError::new(
+            "`record_interval` must be a finite positive time",
+        ));
+    }
     let program = parse_program_field(doc)?;
     Ok(SubmitRequest {
         tenant: get_str(doc, "tenant")?,
@@ -523,7 +531,7 @@ fn parse_submit(doc: &JsonValue) -> Result<SubmitRequest, ProtocolError> {
         init,
         method: Method::parse(&get_str(doc, "method")?)?,
         t_end,
-        record_interval: opt_f64(doc, "record_interval"),
+        record_interval,
         seed,
         injections,
         batch,
@@ -848,6 +856,24 @@ mod tests {
         let err = Request::parse(&Request::Submit(Box::new(submit)).to_line()).unwrap_err();
         assert!(err.message().contains("t_end"), "{err}");
         assert!(Request::parse(&line("5")).is_ok());
+    }
+
+    #[test]
+    fn unusable_record_interval_is_rejected_at_parse_time() {
+        let line = |dt: &str| {
+            format!(
+                "{{\"op\":\"submit\",\"tenant\":\"t\",\"network\":\"X -> Y @fast\",\
+                 \"method\":\"ssa\",\"t_end\":1,\"record_interval\":{dt},\
+                 \"cells\":[{{\"label\":\"c\"}}]}}"
+            )
+        };
+        for bad in ["0", "-0.5", "1e999", "-1e999"] {
+            let err = Request::parse(&line(bad)).unwrap_err();
+            assert!(err.message().contains("record_interval"), "{bad}: {err}");
+        }
+        assert!(Request::parse(&line("0.25")).is_ok());
+        // null is an absent field: the engine default applies
+        assert!(Request::parse(&line("null")).is_ok());
     }
 
     #[test]

@@ -681,6 +681,70 @@ fn unusable_horizons_and_rate_overrides_are_rejected_before_any_worker_runs() {
 }
 
 #[test]
+fn unusable_record_intervals_bounce_and_oversized_counts_fail_their_cell() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let server = Server::start(ServerConfig::default().with_workers(1)).expect("server boots");
+
+    // a sampling interval of zero or below would spin a worker's
+    // recording loop forever; over the raw wire (where `1e999` parses to
+    // infinity) every unusable interval must bounce naming the field
+    {
+        let stream = TcpStream::connect(server.addr()).expect("raw connection");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let base = concat!(
+            "{\"op\": \"submit\", \"tenant\": \"acme\", \"network\": \"X -> Y @slow\", ",
+            "\"init\": [[\"X\", 10]], \"method\": \"ssa\", \"seed\": 1, \"injections\": [], ",
+            "\"t_end\": 5, \"cells\": [{\"label\": \"c\"}], "
+        );
+        for dt in ["0", "-1", "1e999"] {
+            let raw = format!("{base}\"record_interval\": {dt}}}\n");
+            let mut writer = &stream;
+            writer.write_all(raw.as_bytes()).expect("line written");
+            writer.flush().expect("line flushed");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("reply arrives");
+            assert!(
+                reply.contains("\"ok\":false") && reply.contains("record_interval"),
+                "reply for record_interval {dt}: {reply}"
+            );
+        }
+    }
+
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    let stats = client.stats().expect("stats round trip");
+    assert_eq!(counter(&stats, "jobs_submitted"), 0.0);
+
+    // an init above 2^53 is finite and non-negative, so it is admitted;
+    // the stochastic engine must then fail the cell with a typed error
+    // instead of wrapping the count on the first `0 -> X` firing
+    let ack = client
+        .submit(&SubmitRequest {
+            program: Program::Crn("0 -> X @slow".to_owned()),
+            init: vec![("X".to_owned(), 1.0e300)],
+            t_end: 1.0,
+            injections: vec![],
+            ..decay_submit("acme", 0.0, 0)
+        })
+        .expect("admitted");
+    let rows = client.fetch_all(&ack.job_id).expect("job completes");
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0].status, JobStatus::Failed, "{:?}", rows[0]);
+    assert!(rows[0].detail.contains("2^53"), "{}", rows[0].detail);
+
+    // the worker survived: a valid job still runs
+    let ok = client
+        .submit(&decay_submit("acme", 5.0, 1))
+        .expect("valid submission admitted");
+    let rows = client.fetch_all(&ok.job_id).expect("job completes");
+    assert!(rows.iter().all(|r| r.status == JobStatus::Ok));
+
+    client.shutdown().expect("shutdown round trip");
+    server.join();
+}
+
+#[test]
 fn a_server_that_dies_between_submit_and_fetch_surfaces_connection_closed() {
     use std::io::{BufRead, BufReader, Write};
     use std::net::{Shutdown, TcpListener};

@@ -63,8 +63,8 @@
 //! 4. The result is a plain [`crn::Crn`]: simulate it with the unified
 //!    [`kinetics::Simulation`] builder — deterministically
 //!    ([`kinetics::SimMethod::Ode`], stiff Rosenbrock by default),
-//!    stochastically ([`kinetics::SimMethod::Ssa`] /
-//!    [`kinetics::SimMethod::Nrm`]), or with explicit/implicit tau-leaping
+//!    stochastically ([`kinetics::SimMethod::Ssa`]), or with
+//!    explicit/implicit tau-leaping
 //!    ([`kinetics::SimMethod::TauLeap`] /
 //!    [`kinetics::SimMethod::TauLeapImplicit`]) — drive inputs per clock
 //!    cycle and read registers per cycle with [`sync::drive_cycles`], or
