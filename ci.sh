@@ -51,14 +51,16 @@
 #                     across worker counts; stage 12 additionally
 #                     byte-compares the hybrid via-server sweep across
 #                     server worker counts
-#  15. batched stoch   repro e10 at --batch 4 must reproduce the scalar
-#                     stochastic sweep (report byte-identical,
-#                     batch-column-stripped summary CSVs byte-identical,
-#                     per the stage-13 recipe); over the wire, an omitted
-#                     batch width must auto-select from the cell count and
-#                     byte-match the explicitly pinned width, and a
-#                     tau-leap sweep at --batch 4 must reproduce its
-#                     --batch 1 rows
+#  15. stoch widths    stochastic cells run scalar at every batch width:
+#                     repro e10 at --batch 4 must reproduce the scalar
+#                     sweep (report byte-identical, summary CSVs
+#                     byte-identical once only the wall clock is
+#                     stripped); over the wire, an omitted batch width
+#                     must auto-select from the cell count and byte-match
+#                     the explicitly pinned width, a tau-leap sweep's
+#                     persisted summaries at --batch 4 must byte-match
+#                     its --batch 1 run, and an unusable or over-cap
+#                     --t-end must be a usage error
 #  16. netlist gate    every example netlist must compile and run through
 #                     `repro --netlist`; the seqdet netlist's persisted
 #                     sweep summary must byte-match the hand-assembled
@@ -331,22 +333,23 @@ awk -v e="$E14_ERR" 'BEGIN { exit (e <= 0.35) ? 0 : 1 }' \
 head -n 1 "$SWEEP_TMP"/e14_j1/e14.summary.csv | grep -q "hybrid_slow_events" \
   || { echo "ci: e14 summary CSV missing the hybrid metric columns" >&2; exit 1; }
 
-echo "== batched stochastic: lock-step SSA/tau lanes reproduce the scalar runs =="
-# local: the e10 replicate sweep under --batch 4 must reproduce the scalar
-# stage-7 run — report byte-identical, summary rows byte-identical once the
-# wall clock and batch-shape columns are stripped (same recipe as stage 13)
+echo "== stochastic widths: SSA/tau cells run scalar at every batch width =="
+# local: --batch only groups ODE sweeps, so the e10 replicate sweep under
+# --batch 4 must reproduce the scalar stage-7 run — report byte-identical,
+# summary rows byte-identical with only the wall clock stripped (the
+# batch_width/lanes_retired columns read 0 at every width)
 target/release/repro e10 --quick --jobs 2 --batch 4 --summary "$SWEEP_TMP/e10_b4" > "$SWEEP_TMP/report_e10_b4.txt"
 diff <(grep -v "generated in" "$SWEEP_TMP/report_j1.txt") \
      <(grep -v "generated in" "$SWEEP_TMP/report_e10_b4.txt") \
   || { echo "ci: repro e10 report differs between scalar and --batch 4" >&2; exit 1; }
-strip_batch_columns() {
-  awk -F, 'NR==1 { for (i=1;i<=NF;i++) drop[i] = ($i=="wall_secs" || $i=="batch_width" || $i=="lanes_retired") }
+strip_wall_column() {
+  awk -F, 'NR==1 { for (i=1;i<=NF;i++) drop[i] = ($i=="wall_secs") }
            { out=""; for (i=1;i<=NF;i++) if (!drop[i]) out = out (out=="" ? "" : ",") $i; print out }' "$1"
 }
 for csv in "$SWEEP_TMP/e10_b4"/*.summary.csv; do
   base_csv="$SWEEP_TMP/j1/$(basename "$csv")"
-  cmp <(strip_batch_columns "$base_csv") <(strip_batch_columns "$csv") \
-    || { echo "ci: $csv deterministic columns differ from the scalar e10 run" >&2; exit 1; }
+  cmp <(strip_wall_column "$base_csv") <(strip_wall_column "$csv") \
+    || { echo "ci: $csv differs from the scalar e10 run beyond wall_secs" >&2; exit 1; }
 done
 # over the wire: boot one server for the width probes
 BATCH_BOOT_LOG="$SWEEP_TMP/serve_batch.log"
@@ -374,30 +377,36 @@ for artifact in via-server.summary.json via-server.summary.csv; do
   cmp "$SWEEP_TMP/srv_auto/$artifact" "$SWEEP_TMP/srv_b8/$artifact" \
     || { echo "ci: $artifact differs between auto-selected and explicit batch widths" >&2; exit 1; }
 done
-# tau-leaping over the wire: --batch 4 must reproduce the --batch 1 rows
-# (widths differ, so the batch-shape columns are stripped before comparing)
+# tau-leaping over the wire: a width-4 unit runs its cells one after
+# another through the scalar leaper, so --batch 4 must byte-match the
+# --batch 1 rows, batch-shape columns included
 target/release/repro --via-server "$BATCH_ADDR" --method tau --batch 1 --summary "$SWEEP_TMP/srv_tau1" > /dev/null \
   || { echo "ci: repro --via-server --method tau --batch 1 failed" >&2
        kill "$BATCH_SERVE_PID" 2>/dev/null; exit 1; }
 target/release/repro --via-server "$BATCH_ADDR" --method tau --batch 4 --summary "$SWEEP_TMP/srv_tau4" > /dev/null \
   || { echo "ci: repro --via-server --method tau --batch 4 failed" >&2
        kill "$BATCH_SERVE_PID" 2>/dev/null; exit 1; }
-cmp <(strip_batch_columns "$SWEEP_TMP/srv_tau1/via-server.summary.csv") \
-    <(strip_batch_columns "$SWEEP_TMP/srv_tau4/via-server.summary.csv") \
-  || { echo "ci: tau via-server rows differ between --batch 1 and --batch 4" >&2; exit 1; }
+for artifact in via-server.summary.json via-server.summary.csv; do
+  cmp "$SWEEP_TMP/srv_tau1/$artifact" "$SWEEP_TMP/srv_tau4/$artifact" \
+    || { echo "ci: tau $artifact differs between --batch 1 and --batch 4" >&2; exit 1; }
+done
 exec 3<>"/dev/tcp/${BATCH_ADDR%:*}/${BATCH_ADDR##*:}"
 printf '{"op":"shutdown"}\n' >&3
 head -n 1 <&3 > /dev/null
 exec 3<&- 3>&-
 wait "$BATCH_SERVE_PID" \
   || { echo "ci: serve (batch probe) exited nonzero after shutdown" >&2; exit 1; }
-# an unusable horizon is a usage error before anything touches the wire
-set +e
-target/release/repro --via-server "$BATCH_ADDR" --t-end -1 > /dev/null 2>&1
-TEND_STATUS=$?
-set -e
-[ "$TEND_STATUS" -eq 2 ] \
-  || { echo "ci: repro --t-end -1 not rejected (exited $TEND_STATUS, want 2)" >&2; exit 1; }
+# an unusable horizon, or one asking for more than 2^20 trace samples at
+# the sweep's recording interval, is a usage error before anything
+# touches the wire
+for bad_t_end in -1 1e12; do
+  set +e
+  target/release/repro --via-server "$BATCH_ADDR" --t-end "$bad_t_end" > /dev/null 2>&1
+  TEND_STATUS=$?
+  set -e
+  [ "$TEND_STATUS" -eq 2 ] \
+    || { echo "ci: repro --t-end $bad_t_end not rejected (exited $TEND_STATUS, want 2)" >&2; exit 1; }
+done
 
 echo "== netlist front-end: textual circuits byte-match their hand-assembled twins =="
 # every example netlist compiles and runs end to end (in-process server)

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use molseq_crn::Crn;
-use molseq_kinetics::{CompiledCrn, OdeMethod, OdeOptions, SimSpec, Simulation, SsaOptions, State};
+use molseq_kinetics::{CompiledCrn, OdeOptions, SimSpec, Simulation, SsaOptions, State};
 use molseq_sync::{Clock, DelayChain, SchemeConfig};
 
 /// A delay chain of `n` elements with a staged wavefront — the scaling
@@ -22,32 +22,15 @@ fn bench_integrators(c: &mut Criterion) {
     let init = clock.initial_state();
     let compiled = CompiledCrn::new(clock.crn(), &SimSpec::default());
 
-    for (name, method) in [
-        (
-            "rosenbrock",
-            OdeMethod::Rosenbrock {
-                rtol: 1e-6,
-                atol: 1e-9,
-            },
-        ),
-        (
-            "cash_karp",
-            OdeMethod::CashKarp {
-                rtol: 1e-6,
-                atol: 1e-9,
-            },
-        ),
-    ] {
-        group.bench_function(format!("clock_20tu_{name}"), |b| {
-            b.iter(|| {
-                Simulation::new(clock.crn(), &compiled)
-                    .init(&init)
-                    .options(OdeOptions::default().with_t_end(20.0).with_method(method))
-                    .run()
-                    .expect("simulates")
-            });
+    group.bench_function("clock_20tu_rosenbrock", |b| {
+        b.iter(|| {
+            Simulation::new(clock.crn(), &compiled)
+                .init(&init)
+                .options(OdeOptions::default().with_t_end(20.0))
+                .run()
+                .expect("simulates")
         });
-    }
+    });
     group.finish();
 }
 

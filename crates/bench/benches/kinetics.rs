@@ -1,7 +1,7 @@
 //! Kinetics hot-path benchmarks: the headline workloads tracked in
 //! `BENCH_kinetics.json`.
 //!
-//! Three workloads, chosen to exercise the deterministic kernel the way
+//! Four workloads, chosen to exercise the deterministic kernel the way
 //! the experiments do:
 //!
 //! * `clock_40tu` — the E1 chemical clock integrated for 40 time units
@@ -13,8 +13,7 @@
 //!   moving-average filter on the sweep engine (the E6/PR-1 shape: many
 //!   medium cells, compile-once/rebind-per-cell);
 //! * `ssa_replicates_8` — an 8-replicate Gillespie run of the same
-//!   filter (the E10 shape: one compiled network, many seeds), scalar
-//!   vs the lock-step batched SSA engine.
+//!   filter (the E10 shape: one compiled network, many seeds).
 //!
 //! Run with `cargo bench -p molseq-bench --bench kinetics`. Record the
 //! printed per-iteration means in `BENCH_kinetics.json` when the kernel
@@ -169,35 +168,27 @@ fn bench_ssa_replicates(c: &mut Criterion) {
         .expect("trigger builds");
     let schedule = Schedule::new().trigger(trigger);
     let rep = Replicator::new(&compiled, 101);
-    // scalar vs lock-step lanes over identical seeds: the reports are
-    // bit-identical, so the wall-clock ratio is the whole story
-    for (name, width) in [
-        ("ssa_replicates_8", 1usize),
-        ("ssa_replicates_8_batched", 8),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let units = ssa_replicate_units(
-                    crn,
-                    rep,
-                    &init,
-                    &schedule,
-                    replicate_opts,
-                    "rep",
-                    8,
-                    width,
-                    |_job, result| {
-                        result
-                            .map_err(JobError::failed)
-                            .map(|t| t.final_state().iter().sum::<f64>())
-                    },
-                );
-                let out = run_units(&units, &SweepOptions::default().with_batch_width(width));
-                assert_eq!(out.summary.succeeded, 8);
-                out
-            });
+    group.bench_function("ssa_replicates_8", |b| {
+        b.iter(|| {
+            let units = ssa_replicate_units(
+                crn,
+                rep,
+                &init,
+                &schedule,
+                replicate_opts,
+                "rep",
+                8,
+                |_job, result| {
+                    result
+                        .map_err(JobError::failed)
+                        .map(|t| t.final_state().iter().sum::<f64>())
+                },
+            );
+            let out = run_units(&units, &SweepOptions::default());
+            assert_eq!(out.summary.succeeded, 8);
+            out
         });
-    }
+    });
     group.finish();
 }
 

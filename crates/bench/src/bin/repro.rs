@@ -13,11 +13,11 @@
 //! default) sizes the pool from the machine. Reports are byte-identical
 //! at every worker count.
 //!
-//! `--batch WIDTH` runs the ODE and SSA sweep experiments through the
-//! lock-step batched kinetics engines, WIDTH cells per group (power of
-//! 2; `1`, the default, is the plain scalar path). Simulation results
-//! are bit-identical at every width — stochastic lanes keep their own
-//! RNG streams — so reports don't change; only wall time and the
+//! `--batch WIDTH` runs the ODE sweep experiments through the lock-step
+//! batched ODE engine, WIDTH cells per group (power of 2; `1`, the
+//! default, is the plain scalar path); stochastic sweeps always run
+//! scalar cells. Simulation results are bit-identical at every width,
+//! so reports don't change; only wall time and the ODE cells'
 //! `batch_width`/`lanes_retired` metric columns do. With `--via-server`
 //! the width goes on the wire instead; leaving the flag off lets the
 //! server auto-select a width from the submitted cell count.
@@ -47,7 +47,9 @@
 //! over the wire on a motif with a fast reverse pair). `--t-end SECS`
 //! overrides the main sweep's horizon — validated here exactly as the
 //! server validates the wire field, so a NaN/infinite/non-positive
-//! horizon exits `2` before anything is submitted. `--summary DIR`
+//! horizon, or one asking for more than 2^20 trace samples at the
+//! sweep's recording interval, exits `2` before anything is submitted.
+//! `--summary DIR`
 //! persists the sweep rows and the server counters through the standard
 //! summary pipeline (`via-server.summary.*`, `server-stats.summary.*`).
 //!
@@ -276,9 +278,17 @@ fn main() {
             eprintln!("--via-server runs the server smoke suite, not local experiments");
             std::process::exit(2);
         }
+        let method = method.unwrap_or(molseq_serve::Method::Ssa);
+        if let Some(horizon) = t_end {
+            // the rest of the server's submit-time check: the sample cap
+            if let Err(e) = molseq_bench::via_server::check_t_end(method, horizon) {
+                eprintln!("--t-end: {e}");
+                std::process::exit(2);
+            }
+        }
         match molseq_bench::run_via_server(
             &addr,
-            method.unwrap_or(molseq_serve::Method::Ssa),
+            method,
             batch,
             t_end,
             budget_tenant.as_deref(),

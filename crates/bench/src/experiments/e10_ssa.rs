@@ -19,11 +19,11 @@
 //! Replicates are sweep cells, stamped out by a
 //! [`Replicator`](molseq_kinetics::Replicator) through
 //! [`ssa_replicate_units`](crate::ssa_replicate_units): each network is
-//! compiled once, shared across its seeds, and — when the context sets a
-//! batch width — consecutive replicates advance in lock step through one
-//! `run_ssa_batch` call. Replicate seeds derive from the base seed and
-//! replicate number only, so the report is byte-identical at any worker
-//! count and any batch width, and stable when the grid grows.
+//! compiled once and shared across its seeds, and every replicate is a
+//! scalar SSA cell (the context's batch width applies to ODE sweeps
+//! only). Replicate seeds derive from the base seed and replicate number
+//! only, so the report is byte-identical at any worker count, and stable
+//! when the grid grows.
 
 use crate::{ssa_replicate_units, ExpCtx, Report};
 use molseq_crn::RateAssignment;
@@ -127,7 +127,7 @@ pub fn run(ctx: &ExpCtx) -> Report {
     let runs: u64 = if quick { 2 } else { 6 };
     // one build + compile per amplitude, shared by all of its replicates;
     // the pulse schedule and initial state are fixed per amplitude, so
-    // they too are built once and shared across the replicate lanes
+    // they too are built once and shared across the replicates
     let counters: Vec<(f64, BinaryCounter, CompiledCrn, State, Option<Schedule>)> = amplitudes
         .iter()
         .map(|&n| {
@@ -160,7 +160,6 @@ pub fn run(ctx: &ExpCtx) -> Report {
                     counter_opts,
                     &label,
                     runs as usize,
-                    ctx.batch,
                     move |_job, result| decode_counter(counter, result),
                 ),
                 // an un-triggerable system stalls by definition
@@ -235,7 +234,6 @@ pub fn run(ctx: &ExpCtx) -> Report {
                     filter_opts,
                     &label,
                     filter_runs as usize,
-                    ctx.batch,
                     move |_job, result| filter_rms(filter, samples, n, result),
                 ),
                 None => filter_rep
@@ -296,14 +294,5 @@ mod tests {
         let serial = super::run(&ExpCtx::quick().with_jobs(1));
         let parallel = super::run(&ExpCtx::quick().with_jobs(4));
         assert_eq!(serial.to_string(), parallel.to_string());
-    }
-
-    #[test]
-    fn batched_report_matches_scalar() {
-        // the lock-step SSA lanes must be bit-identical to scalar runs,
-        // so the rendered report cannot change with the batch width
-        let scalar = super::run(&ExpCtx::quick());
-        let batched = super::run(&ExpCtx::quick().with_batch(4));
-        assert_eq!(scalar.to_string(), batched.to_string());
     }
 }

@@ -42,9 +42,8 @@ pub use via_server::run_via_server;
 use molseq_crn::Crn;
 use molseq_dsp::Filter;
 use molseq_kinetics::{
-    run_ssa_batch, BatchedOdeWorkspace, BatchedStochWorkspace, CompiledCrn, MetricsSink,
-    Replicator, Schedule, SimError, SimMetrics, SimSpec, Simulation, SsaBatchLane, SsaOptions,
-    State, StepHook, Trace,
+    BatchedOdeWorkspace, CompiledCrn, MetricsSink, Replicator, Schedule, SimError, SimMetrics,
+    SimSpec, Simulation, SsaOptions, State, StepHook, Trace,
 };
 use molseq_sweep::{
     GroupJob, JobBudget, JobCtx, JobError, SweepJob, SweepOptions, SweepSummary, SweepUnit,
@@ -74,12 +73,12 @@ pub struct ExpCtx {
     /// When set, each sweep's [`SweepSummary`] is persisted under this
     /// directory as `<id>.summary.json` and `<id>.summary.csv`.
     pub summary_dir: Option<PathBuf>,
-    /// Lock-step batch width for the sweep experiments: how many
+    /// Lock-step batch width for the ODE sweep experiments: how many
     /// structurally identical cells advance together through one
-    /// `molseq_kinetics::run_ode_batch` / `run_ssa_batch` / `run_tau_batch`
-    /// call. `0` or `1` = scalar cells. Results are bit-identical at any
-    /// width; only the wall time and the `batch_width`/`lanes_retired`
-    /// metrics change.
+    /// `molseq_kinetics::run_ode_batch` call. `0` or `1` = scalar cells;
+    /// stochastic sweeps always run scalar cells. Results are
+    /// bit-identical at any width; only the wall time and the
+    /// `batch_width`/`lanes_retired` metrics change.
     pub batch: usize,
 }
 
@@ -304,22 +303,13 @@ where
 }
 
 /// Builds the sweep units for one stochastic replicate panel: `replicates`
-/// SSA runs of a single compiled network under `rep`'s seed stream, packed
-/// into lock-step [`GroupJob`]s of `width` consecutive replicates that
-/// advance together through one [`run_ssa_batch`] call. The grouping is
-/// sound by construction — every lane shares `rep`'s one
-/// [`CompiledCrn`], so the batched engine's structural-hash check holds
-/// trivially; callers batching across *different* networks must group by
-/// [`Crn::structural_hash`] first, exactly as the ODE grid does. Width
-/// `0`/`1` — and any leftover singleton chunk — fall back to plain scalar
-/// [`SweepJob`]s driven through the [`Simulation`] builder.
+/// scalar SSA runs of a single compiled network under `rep`'s seed
+/// stream, each a [`SweepJob`] driven through the [`Simulation`] builder.
 ///
 /// Labels follow [`Replicator::jobs`]'s `"{label} rep={r} seed={seed}"`
 /// convention, per-replicate seeds come from [`Replicator::seed`], and
 /// step-hook budgets, recorded [`SimMetrics`] columns and job-order
-/// results are all preserved: a panel built at any width reports the same
-/// cells in the same order with bit-identical traces, so summaries differ
-/// only in wall time and the `batch_width` / `lanes_retired` columns.
+/// results are all preserved.
 ///
 /// `opts` builds one replicate's [`SsaOptions`] from its seed, step hook
 /// and metrics sink (a closure rather than a value because an options
@@ -336,7 +326,6 @@ pub fn ssa_replicate_units<'a, T, O, F>(
     opts: O,
     label: &str,
     replicates: usize,
-    width: usize,
     map: F,
 ) -> Vec<SweepUnit<'a, T>>
 where
@@ -344,63 +333,22 @@ where
     O: for<'h> Fn(u64, StepHook<'h>, MetricsSink<'h>) -> SsaOptions<'h> + Send + Sync + Copy + 'a,
     F: Fn(&JobCtx, Result<Trace, SimError>) -> Result<T, JobError> + Send + Sync + Copy + 'a,
 {
-    let width = width.max(1);
     let compiled = rep.compiled();
-    let seeds: Vec<(usize, u64)> = (0..replicates).map(|r| (r, rep.seed(r))).collect();
-    seeds
-        .chunks(width)
-        .flat_map(|chunk| {
-            if chunk.len() < 2 {
-                return chunk
-                    .iter()
-                    .map(|&(r, seed)| {
-                        let name = format!("{label} rep={r} seed={seed}");
-                        SweepUnit::Single(SweepJob::new(name, move |job| {
-                            let hook = job.step_hook();
-                            let sink = Cell::new(SimMetrics::default());
-                            let result = Simulation::new(crn, compiled)
-                                .init(init)
-                                .schedule(schedule)
-                                .options(opts(seed, &hook, &sink))
-                                .run();
-                            record_sim_metrics(job, sink.get());
-                            map(job, result)
-                        }))
-                    })
-                    .collect::<Vec<_>>();
-            }
-            let labels = chunk
-                .iter()
-                .map(|&(r, seed)| format!("{label} rep={r} seed={seed}"))
-                .collect();
-            let lanes: Vec<(usize, u64)> = chunk.to_vec();
-            vec![SweepUnit::Group(GroupJob::new(labels, move |ctxs| {
-                let hooks: Vec<_> = ctxs.iter().map(JobCtx::step_hook).collect();
-                let sinks: Vec<Cell<SimMetrics>> = ctxs
-                    .iter()
-                    .map(|_| Cell::new(SimMetrics::default()))
-                    .collect();
-                let batch: Vec<SsaBatchLane> = lanes
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &(_, seed))| SsaBatchLane {
-                        compiled,
-                        init,
-                        schedule,
-                        options: opts(seed, &hooks[k], &sinks[k]),
-                    })
-                    .collect();
-                let mut workspace = BatchedStochWorkspace::new();
-                run_ssa_batch(crn, &batch, &mut workspace)
-                    .into_iter()
-                    .zip(ctxs)
-                    .zip(&sinks)
-                    .map(|((result, job), sink)| {
-                        record_sim_metrics(job, sink.get());
-                        map(job, result)
-                    })
-                    .collect()
-            }))]
+    (0..replicates)
+        .map(|r| {
+            let seed = rep.seed(r);
+            let name = format!("{label} rep={r} seed={seed}");
+            SweepUnit::Single(SweepJob::new(name, move |job| {
+                let hook = job.step_hook();
+                let sink = Cell::new(SimMetrics::default());
+                let result = Simulation::new(crn, compiled)
+                    .init(init)
+                    .schedule(schedule)
+                    .options(opts(seed, &hook, &sink))
+                    .run();
+                record_sim_metrics(job, sink.get());
+                map(job, result)
+            }))
         })
         .collect()
 }

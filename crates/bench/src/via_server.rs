@@ -18,7 +18,8 @@
 //! scheduling-independent.
 
 use molseq_serve::{
-    rows_to_summary, stats_summary, CellRow, CellSpec, Client, Method, Program, SubmitRequest,
+    check_horizon, rows_to_summary, stats_summary, CellRow, CellSpec, Client, Method, Program,
+    SubmitRequest,
 };
 use molseq_sweep::{JobStatus, SweepSummary};
 use std::path::Path;
@@ -31,10 +32,10 @@ use std::path::Path;
 /// exercise the continuous subsystem over the wire at all.
 ///
 /// `batch` goes on the wire verbatim: `None` omits the field, letting
-/// the server auto-select a lock-step width from the cell count;
+/// the server auto-select a work-unit width from the cell count;
 /// `Some(w)` pins it. Either way the rows must be byte-identical — the
-/// batched engines are bit-equal to their scalar counterparts lane by
-/// lane.
+/// batched ODE engine is bit-equal to the scalar integrator lane by
+/// lane, and SSA and tau-leap units run their cells one after another.
 fn main_sweep(method: Method, batch: Option<usize>) -> SubmitRequest {
     let mut cells = Vec::new();
     for amplitude in [8, 32] {
@@ -73,8 +74,23 @@ fn main_sweep(method: Method, batch: Option<usize>) -> SubmitRequest {
     }
 }
 
+/// Checks a `repro --t-end` override of the main sweep's horizon as the
+/// server checks the submit ([`check_horizon`]): a finite positive time
+/// asking for at most 2^20 trace samples at the sweep's recording
+/// interval for `method`.
+///
+/// # Errors
+///
+/// The server's message for a horizon it would refuse.
+pub fn check_t_end(method: Method, t_end: f64) -> Result<(), String> {
+    let request = main_sweep(method, None);
+    check_horizon(t_end, request.record_interval).map_err(|e| e.message().to_owned())
+}
+
 /// A job that cannot finish on its own (a two-way flip keeps firing SSA
-/// events for an astronomical horizon) — the cancellation probe.
+/// events for an astronomical horizon) — the cancellation probe. Its
+/// sparse recording interval keeps the request under the server's
+/// trace-sample cap.
 fn endless_job(tenant: &str) -> SubmitRequest {
     SubmitRequest {
         tenant: tenant.to_owned(),
@@ -82,7 +98,7 @@ fn endless_job(tenant: &str) -> SubmitRequest {
         init: vec![("X".to_owned(), 64.0)],
         method: Method::Ssa,
         t_end: 1.0e9,
-        record_interval: None,
+        record_interval: Some(1.0e4),
         seed: 5,
         injections: vec![],
         batch: Some(1),

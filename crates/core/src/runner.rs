@@ -10,10 +10,20 @@
 
 use crate::{CompiledSystem, SyncError};
 use molseq_kinetics::{
-    run_ode_batch, BatchLane, BatchedOdeWorkspace, CompiledCrn, MetricsSink, OdeMethod, OdeOptions,
+    run_ode_batch, BatchLane, BatchedOdeWorkspace, CompiledCrn, MetricsSink, OdeOptions,
     OdeWorkspace, Schedule, SimError, SimMethod, SimSpec, Simulation, SsaOptions, StepHook, Trace,
 };
 use std::collections::HashMap;
+
+/// The ODE options of one harness pass over `[0, t_end]`: Rosenbrock at
+/// `rtol = 1e-5`, `atol = 1e-8`, one order looser than the integrator's
+/// defaults.
+fn harness_ode_options<'h>(t_end: f64, record_interval: f64) -> OdeOptions<'h> {
+    OdeOptions::default()
+        .with_t_end(t_end)
+        .with_record_interval(record_interval)
+        .with_tolerances(1e-5, 1e-8)
+}
 
 /// Configuration for [`drive_cycles`].
 #[derive(Clone)]
@@ -30,11 +40,10 @@ pub struct RunConfig<'h> {
     /// Trace recording interval.
     pub record_interval: f64,
     /// Simulation method driving the kinetics. [`SimMethod::Ode`]
-    /// (the default) and [`SimMethod::Ssa`] are supported; the
-    /// tau-leaping methods reject the harness's input triggers.
+    /// (the default, Rosenbrock at `rtol = 1e-5`, `atol = 1e-8`) and
+    /// [`SimMethod::Ssa`] are supported; the tau-leaping methods reject
+    /// the harness's input triggers.
     pub sim: SimMethod,
-    /// ODE integration method (used when `sim` is [`SimMethod::Ode`]).
-    pub method: OdeMethod,
     /// RNG seed (used by the stochastic methods).
     pub seed: u64,
     /// Optional cooperative interruption hook, forwarded to the
@@ -57,7 +66,6 @@ impl std::fmt::Debug for RunConfig<'_> {
             .field("max_extensions", &self.max_extensions)
             .field("record_interval", &self.record_interval)
             .field("sim", &self.sim)
-            .field("method", &self.method)
             .field("seed", &self.seed)
             .field("step_hook", &self.step_hook.map(|_| "<hook>"))
             .field("metrics", &self.metrics.map(|_| "<sink>"))
@@ -72,7 +80,6 @@ impl PartialEq for RunConfig<'_> {
             && self.max_extensions == other.max_extensions
             && self.record_interval == other.record_interval
             && self.sim == other.sim
-            && self.method == other.method
             && self.seed == other.seed
             && match (self.step_hook, other.step_hook) {
                 (None, None) => true,
@@ -100,10 +107,6 @@ impl Default for RunConfig<'_> {
             max_extensions: 4,
             record_interval: 0.1,
             sim: SimMethod::Ode,
-            method: OdeMethod::Rosenbrock {
-                rtol: 1e-5,
-                atol: 1e-8,
-            },
             seed: 0,
             step_hook: None,
             metrics: None,
@@ -336,12 +339,7 @@ pub fn drive_cycles(
             .workspace(&mut *workspace);
         match config.sim {
             SimMethod::Ode => {
-                sim = sim.options(
-                    OdeOptions::default()
-                        .with_t_end(t_end)
-                        .with_record_interval(config.record_interval)
-                        .with_method(config.method),
-                );
+                sim = sim.options(harness_ode_options(t_end, config.record_interval));
             }
             _ => {
                 sim = sim.method(config.sim).options(
@@ -401,9 +399,8 @@ pub struct BatchCell<'a, 'h> {
     /// shared compilation, so every cell keeps the same structure.
     /// `config.spec` is ignored in favour of the rates baked in here.
     pub compiled: &'a CompiledCrn,
-    /// The cell's harness configuration. `sim` must be [`SimMethod::Ode`]
-    /// and `method` must be [`OdeMethod::Rosenbrock`]; `step_hook` and
-    /// `metrics` are forwarded per cell.
+    /// The cell's harness configuration. `sim` must be [`SimMethod::Ode`];
+    /// `step_hook` and `metrics` are forwarded per cell.
     pub config: RunConfig<'h>,
 }
 
@@ -430,10 +427,9 @@ pub struct BatchCell<'a, 'h> {
 ///
 /// # Panics
 ///
-/// Panics if any cell's `config.sim` is not [`SimMethod::Ode`] or its
-/// `config.method` is not [`OdeMethod::Rosenbrock`] — the batched engine
-/// is the deterministic stiff path; route other methods through
-/// [`drive_cycles`].
+/// Panics if any cell's `config.sim` is not [`SimMethod::Ode`] — the
+/// batched engine is the deterministic path; route stochastic cells
+/// through [`drive_cycles`].
 pub fn drive_cycles_batch(
     system: &CompiledSystem,
     inputs: &[(&str, &[f64])],
@@ -443,9 +439,8 @@ pub fn drive_cycles_batch(
 ) -> Result<Vec<Result<SyncRun, SyncError>>, SyncError> {
     for cell in cells {
         assert!(
-            matches!(cell.config.sim, SimMethod::Ode)
-                && matches!(cell.config.method, OdeMethod::Rosenbrock { .. }),
-            "drive_cycles_batch is the deterministic stiff path (Ode + Rosenbrock)"
+            matches!(cell.config.sim, SimMethod::Ode),
+            "drive_cycles_batch is the deterministic ODE path"
         );
     }
     if cycles == 0 {
@@ -489,10 +484,7 @@ pub fn drive_cycles_batch(
             .iter()
             .map(|&i| {
                 let config = &cells[i].config;
-                let mut options = OdeOptions::default()
-                    .with_t_end(progress[i].t_end)
-                    .with_record_interval(config.record_interval)
-                    .with_method(config.method);
+                let mut options = harness_ode_options(progress[i].t_end, config.record_interval);
                 if let Some(hook) = config.step_hook {
                     options = options.with_step_hook(hook);
                 }

@@ -30,7 +30,7 @@
 use crate::compiled::CompiledCrn;
 use crate::events::{Injection, TriggerRuntime};
 use crate::metrics::SimMetrics;
-use crate::ode::{expected_records, initial_step, OdeMethod, OdeOptions};
+use crate::ode::{expected_records, initial_step, OdeOptions};
 use crate::sim::check_record_interval;
 use crate::stiff::{assemble_w, Lu, Symbolic, C32, D};
 use crate::{Schedule, SimError, State, Trace};
@@ -51,8 +51,7 @@ pub struct BatchLane<'a, 'h> {
     pub init: &'a State,
     /// Timed injections and condition triggers for this lane.
     pub schedule: &'a Schedule,
-    /// Integrator options. The method must be [`OdeMethod::Rosenbrock`]
-    /// (the batched engine is the stiff path; other methods stay scalar).
+    /// Integrator options.
     pub options: OdeOptions<'h>,
 }
 
@@ -211,7 +210,6 @@ struct LaneState<'a, 'h> {
     steps_used: usize,
     // Rosenbrock cache flags, mirroring `RosenbrockWork`
     jac_fresh: bool,
-    jac_age: usize,
     lu_valid: bool,
     lu_sparse: bool,
     lu_h: f64,
@@ -223,10 +221,7 @@ struct LaneState<'a, 'h> {
 impl<'a, 'h> LaneState<'a, 'h> {
     fn new(crn: &Crn, lane: &BatchLane<'a, 'h>) -> Self {
         let opts = lane.options;
-        let (rtol, atol) = match opts.method() {
-            OdeMethod::Rosenbrock { rtol, atol } => (rtol, atol),
-            other => panic!("run_ode_batch supports only OdeMethod::Rosenbrock, got {other:?}"),
-        };
+        let (rtol, atol) = opts.tolerances();
         // validation mirrors run_ode's, per lane
         let done = if lane.compiled.species_count() != crn.species_count() {
             Some(Err(SimError::DimensionMismatch {
@@ -271,7 +266,6 @@ impl<'a, 'h> LaneState<'a, 'h> {
             next_record: opts.t_start() + opts.record_interval(),
             steps_used: 0,
             jac_fresh: false,
-            jac_age: 0,
             lu_valid: false,
             lu_sparse: false,
             lu_h: f64::NAN,
@@ -366,7 +360,6 @@ fn advance_to_attempt(
                 }
                 // the state jumped: cached Jacobian is for the old state
                 st.jac_fresh = false;
-                st.jac_age = 0;
             }
             continue;
         }
@@ -387,9 +380,8 @@ fn advance_to_attempt(
 ///
 /// # Panics
 ///
-/// Panics if any lane's method is not [`OdeMethod::Rosenbrock`], or if
-/// the lanes do not all share one network structure (callers group by
-/// [`molseq_crn::Crn::structural_hash`]).
+/// Panics if the lanes do not all share one network structure (callers
+/// group by [`molseq_crn::Crn::structural_hash`]).
 #[allow(clippy::too_many_lines)]
 pub fn run_ode_batch<'h>(
     crn: &Crn,
@@ -475,13 +467,6 @@ pub fn run_ode_batch<'h>(
             store_lane(x, lane.init.as_slice(), wd, l);
         }
     }
-    // `true` exactly while every lane's reuse horizon is 0 (the default):
-    // then any lane the refresh pass skips holds a fresh age-0 Jacobian
-    // evaluated at its *current* state, so the full-width recompute below
-    // reproduces its cached values bit-for-bit and the whole batch can
-    // share one kernel pass. Any nonzero horizon means deliberately stale
-    // lanes, which must keep their bits — those batches refresh per lane.
-    let uniform_reuse_zero = states.iter().all(|s| s.opts.jacobian_reuse() == 0);
     let mut retired: u64 = 0;
 
     loop {
@@ -507,28 +492,18 @@ pub fn run_ode_batch<'h>(
         }
 
         // --- Jacobian refresh ---
+        // A lane this pass does not need holds a Jacobian evaluated at its
+        // *current* state (a rejected trial's), so the full-width
+        // recompute reproduces its cached values bit for bit and the whole
+        // batch shares one kernel pass.
         for (l, st) in states.iter().enumerate() {
-            needs_jac[l] =
-                attempting[l] && (!st.jac_fresh || st.jac_age > st.opts.jacobian_reuse());
+            needs_jac[l] = attempting[l] && !st.jac_fresh;
         }
         if needs_jac.iter().any(|&b| b) {
-            if uniform_reuse_zero {
-                reference.jacobian_sparse_batch(ks, x, jac_vals, flux);
-            } else {
-                for (l, st) in states.iter().enumerate() {
-                    if needs_jac[l] {
-                        extract_lane(x, lane_buf, wd, l);
-                        st.compiled.jacobian_sparse(lane_buf, lane_jac);
-                        for (s, &v) in lane_jac.iter().enumerate() {
-                            jac_vals[s * wd + l] = v;
-                        }
-                    }
-                }
-            }
+            reference.jacobian_sparse_batch(ks, x, jac_vals, flux);
             for (l, st) in states.iter_mut().enumerate() {
                 if needs_jac[l] {
                     st.jac_fresh = true;
-                    st.jac_age = 0;
                     // any cached factorization was built from old values
                     st.lu_valid = false;
                 }
@@ -683,7 +658,8 @@ pub fn run_ode_batch<'h>(
                     for i in 0..n {
                         x[i * wd + l] = y_new[i * wd + l];
                     }
-                    st.jac_age += 1;
+                    // the state moved: the next step needs a fresh Jacobian
+                    st.jac_fresh = false;
                     let grow = if err_ratio > 0.0 {
                         0.9 * err_ratio.powf(-1.0 / 3.0)
                     } else {
@@ -692,9 +668,6 @@ pub fn run_ode_batch<'h>(
                     st.h_adaptive = (h_try[l] * grow.clamp(0.2, 5.0)).min(st.opts.h_max());
                     (h_try[l], true)
                 } else {
-                    if st.jac_age > 0 {
-                        st.jac_fresh = false;
-                    }
                     let shrink = (0.9 * err_ratio.powf(-1.0 / 3.0)).clamp(0.1, 0.9);
                     st.h_adaptive = (h_try[l] * shrink).max(1e-14);
                     (0.0, false)
@@ -772,7 +745,6 @@ pub fn run_ode_batch<'h>(
             if !fired.is_empty() {
                 // queue injections may have jumped the state
                 st.jac_fresh = false;
-                st.jac_age = 0;
             }
         }
     }
@@ -1080,8 +1052,8 @@ mod tests {
     }
 
     #[test]
-    fn jacobian_reuse_lanes_match_scalar_bitwise() {
-        // a nonzero reuse horizon forces the per-lane refresh path
+    fn per_lane_tolerances_match_scalar_bitwise() {
+        // each lane keeps its own step controller and error norm
         let crn: Crn = "A + B -> C @fast\nC -> A + B @slow\nA -> 0 @slow"
             .parse()
             .unwrap();
@@ -1092,13 +1064,13 @@ mod tests {
         let compiled = CompiledCrn::new(&crn, &SimSpec::default());
         let schedule = Schedule::new();
         let plain = lane_opts(10.0);
-        let reusing = plain.with_jacobian_reuse(4);
+        let loose = plain.with_tolerances(1e-4, 1e-7);
         let lanes = [
             BatchLane {
                 compiled: &compiled,
                 init: &init,
                 schedule: &schedule,
-                options: reusing,
+                options: loose,
             },
             BatchLane {
                 compiled: &compiled,
@@ -1108,7 +1080,7 @@ mod tests {
             },
         ];
         let results = run_ode_batch(&crn, &lanes, &mut BatchedOdeWorkspace::new());
-        for (opts, result) in [reusing, plain].iter().zip(results) {
+        for (opts, result) in [loose, plain].iter().zip(results) {
             let scalar = scalar_trace(&crn, &compiled, &init, &schedule, opts).unwrap();
             assert_eq!(scalar, result.unwrap());
         }

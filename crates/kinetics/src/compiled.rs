@@ -552,55 +552,6 @@ impl CompiledCrn {
         a
     }
 
-    /// Multi-lane [`propensity`](Self::propensity): writes every
-    /// reaction's propensity for `width` lanes into `props`
-    /// (reaction-major, lane-contiguous: `props[j * width + l]`), reading
-    /// integer copy numbers from `n` (species-major, `n[i * width + l]`)
-    /// and per-lane rate constants from `ks` (as packed by
-    /// [`gather_rates`](Self::gather_rates)). Per lane the factor order —
-    /// falling product in ascending `s`, then one multiply by
-    /// `(comb / fact).max(0.0)` per reactant — matches the scalar path
-    /// bit-for-bit.
-    pub(crate) fn propensity_batch(&self, ks: &[f64], n: &[i64], props: &mut [f64], width: usize) {
-        match width {
-            2 => self.propensity_batch_impl::<2>(ks, n, props, width),
-            4 => self.propensity_batch_impl::<4>(ks, n, props, width),
-            8 => self.propensity_batch_impl::<8>(ks, n, props, width),
-            16 => self.propensity_batch_impl::<16>(ks, n, props, width),
-            32 => self.propensity_batch_impl::<32>(ks, n, props, width),
-            _ => self.propensity_batch_impl::<0>(ks, n, props, width),
-        }
-    }
-
-    #[inline(always)]
-    fn propensity_batch_impl<const WDC: usize>(
-        &self,
-        ks: &[f64],
-        n: &[i64],
-        props: &mut [f64],
-        w: usize,
-    ) {
-        let width = if WDC == 0 { w } else { WDC };
-        assert_eq!(n.len(), self.species_count * width);
-        assert_eq!(ks.len(), self.reactions.len() * width);
-        assert_eq!(props.len(), self.reactions.len() * width);
-        for (j, r) in self.reactions.iter().enumerate() {
-            let row = &mut props[j * width..(j + 1) * width];
-            row.copy_from_slice(&ks[j * width..(j + 1) * width]);
-            for &(i, stoich) in &r.reactants {
-                let fact: f64 = (1..=i64::from(stoich)).map(|v| v as f64).product();
-                let col = &n[i * width..(i + 1) * width];
-                for (a, &ni) in row.iter_mut().zip(col) {
-                    let mut comb = 1.0;
-                    for s in 0..i64::from(stoich) {
-                        comb *= (ni - s) as f64;
-                    }
-                    *a *= (comb / fact).max(0.0);
-                }
-            }
-        }
-    }
-
     /// Continuous extension of [`propensity`](Self::propensity) to real
     /// states: `k · Π_i Π_{s<stoich_i} max(x_i − s, 0) / stoich_i!`.
     ///

@@ -4,7 +4,7 @@
 //! the [`Simulation`] builder and selected by [`SimMethod`]:
 //!
 //! * **Deterministic mass-action ODE** integration ([`SimMethod::Ode`])
-//!   with an adaptive Rosenbrock default plus RK4/Cash–Karp, non-negativity
+//!   with an adaptive Rosenbrock (ode23s) stepper, non-negativity
 //!   projection, timed injections and condition triggers. This is the
 //!   workhorse behind every figure of the paper reproduction: the paper
 //!   validates its designs "through ODE simulations of the mass-action
@@ -68,7 +68,6 @@ mod sim;
 mod ssa;
 mod state;
 mod stiff;
-mod stoch_batch;
 mod tau;
 mod tau_implicit;
 mod trace;
@@ -81,17 +80,12 @@ pub use error::SimError;
 pub use events::{Condition, Injection, Schedule, Trigger, TriggerAction};
 pub use hybrid::{HybridOptions, DEFAULT_DISCRETENESS_THRESHOLD};
 pub use metrics::{MetricsSink, SimMetrics};
-pub use ode::{
-    simulate_until_quiescent, OdeMethod, OdeOptions, OdeWorkspace, StepHook, DEFAULT_JACOBIAN_REUSE,
-};
+pub use ode::{simulate_until_quiescent, OdeOptions, OdeWorkspace, StepHook};
 pub use plot::{downsample, render_species, sparkline};
 pub use replicate::Replicator;
 pub use sim::{SimMethod, SimOptions, Simulation};
 pub use ssa::SsaOptions;
 pub use state::State;
-pub use stoch_batch::{
-    run_ssa_batch, run_tau_batch, BatchedStochWorkspace, SsaBatchLane, TauBatchLane,
-};
 pub use tau::TauLeapOptions;
 pub use tau_implicit::TauLeapImplicitOptions;
 pub use trace::{crossings, estimate_period, Crossing, Direction, Trace};

@@ -80,9 +80,9 @@ pub struct SimMetrics {
     /// RNG seed of the most recent stochastic run (`0` for deterministic
     /// runs).
     pub seed: u64,
-    /// Lane count of the batched engine (ODE, SSA or tau-leap) for the
-    /// most recent run that reported into this record (`0` for scalar
-    /// runs).
+    /// Lane count of the batched ODE engine for the most recent run that
+    /// reported into this record (`0` for scalar runs, which every
+    /// stochastic run is).
     pub batch_width: u64,
     /// For a cell run through a batched engine: how many sibling lanes of
     /// its batch had already retired (finished or failed) when this

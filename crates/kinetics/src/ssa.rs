@@ -207,8 +207,7 @@ pub(crate) fn run_ssa(
 }
 
 /// The checks made before any work (no metrics flush on failure):
-/// dimensions, time span and sampling interval. The batched driver makes
-/// the same checks per lane.
+/// dimensions, time span and sampling interval.
 pub(crate) fn validate(
     crn: &Crn,
     compiled: &CompiledCrn,
@@ -259,8 +258,7 @@ pub(crate) fn started(opts: &SsaOptions) -> SimMetrics {
 /// it, every draw, event time, sample and counter equals a full
 /// recompute's bit for bit.
 ///
-/// [`run_ssa`] steps one run to its end; `run_ssa_batch` steps several
-/// round-robin, each lane with its own row.
+/// [`run_ssa`] steps one run to its end.
 pub(crate) struct SsaRun<'a, 'h> {
     compiled: &'a CompiledCrn,
     schedule: &'a Schedule,
@@ -279,9 +277,8 @@ pub(crate) struct SsaRun<'a, 'h> {
     props: Vec<f64>,
     rng: StdRng,
     trace: Trace,
-    /// Work counters so far; the batched driver stamps the batch shape
-    /// in before [`finish`](Self::finish).
-    pub(crate) stats: SimMetrics,
+    /// Work counters so far.
+    stats: SimMetrics,
     t: f64,
     next_record: f64,
     events: usize,
@@ -782,6 +779,42 @@ mod tests {
         assert_eq!(m.seed, 6);
         assert_eq!(m.final_time, 50.0);
         assert_eq!(m.ode_steps_accepted, 0);
+    }
+
+    #[test]
+    fn a_bad_span_flushes_nothing_but_a_fractional_count_flushes_the_seed() {
+        use crate::SimMetrics;
+        use std::cell::Cell;
+
+        let crn: Crn = "X -> Y @slow\nY -> X @slow".parse().unwrap();
+        let x = crn.find_species("X").unwrap();
+        let mut good = State::new(&crn);
+        good.set(x, 10.0);
+        // rejected before any work: nothing reaches the sink
+        let sink = Cell::new(SimMetrics::default());
+        let opts = SsaOptions::default()
+            .with_t_end(f64::NAN)
+            .with_metrics(&sink);
+        let err =
+            simulate_ssa(&crn, &good, &Schedule::new(), &opts, &SimSpec::default()).unwrap_err();
+        assert!(matches!(err, SimError::BadTimeSpan { .. }), "{err:?}");
+        assert_eq!(sink.get(), SimMetrics::default());
+        // an unusable initial count fails the run after validation: the
+        // sink still learns the seed and the (start) time it stopped at
+        let mut bad = State::new(&crn);
+        bad.set(x, 1.5);
+        let opts = SsaOptions::default()
+            .with_t_end(0.5)
+            .with_seed(9)
+            .with_metrics(&sink);
+        let err =
+            simulate_ssa(&crn, &bad, &Schedule::new(), &opts, &SimSpec::default()).unwrap_err();
+        assert!(matches!(err, SimError::NonIntegerAmount { .. }), "{err:?}");
+        let m = sink.get();
+        assert_eq!(m.seed, 9);
+        assert_eq!(m.final_time, 0.0);
+        assert_eq!(m.ssa_events, 0);
+        assert_eq!((m.batch_width, m.lanes_retired), (0, 0));
     }
 
     #[test]

@@ -28,17 +28,13 @@
 //!   [`RosenbrockWork`] and is reused across steps, segments and whole
 //!   simulations.
 //!
-//! The Jacobian (and, when `h` repeats bit-identically, the whole LU) can
-//! additionally be *reused* across accepted steps
-//! (`OdeOptions::with_jacobian_reuse`), refreshed on rejection or after
-//! the configured number of accepted steps. This is off by default:
-//! ode23s is not a W-method — a lagged Jacobian inflates the embedded
-//! error estimate, and on this workspace's autocatalytic networks the
-//! resulting reject/refresh/retry cycles cost more than the skipped
-//! factorizations save (see `DEFAULT_JACOBIAN_REUSE`). The machinery is
-//! kept for genuinely slowly varying systems, and the error estimate
-//! still bounds local error under staleness, so opting in affects step
-//! size, never accuracy.
+//! The Jacobian is evaluated once per accepted state: a rejected step
+//! retries from the same state with the same Jacobian (and, when `h`
+//! repeats bit-identically, the same LU). It is never carried across an
+//! accepted step: ode23s is not a W-method, its order conditions assume a
+//! current Jacobian, and a lagged one inflates the embedded error
+//! estimate into reject-and-retry cycles that cost more than the skipped
+//! evaluations save.
 
 // Index loops mirror the textbook linear-algebra formulas.
 #![allow(clippy::needless_range_loop)]
@@ -775,11 +771,8 @@ pub(crate) struct RosenbrockWork {
     sym: Symbolic,
     /// Jacobian nonzeros aligned with the compiled CSR pattern.
     jac_vals: Vec<f64>,
-    /// True when `jac_vals` holds an evaluation the reuse policy still
-    /// accepts (fresh at some accepted state, aged `jac_age` steps).
+    /// True when `jac_vals` was evaluated at the current state.
     jac_fresh: bool,
-    /// Accepted steps since `jac_vals` was evaluated.
-    jac_age: usize,
     /// Cached factorization of `W = I − h·d·J` for `lu_h` and the current
     /// `jac_vals`; `None` when it must be rebuilt.
     lu: Option<Factored>,
@@ -816,7 +809,6 @@ impl RosenbrockWork {
             sym: Symbolic::new(compiled),
             jac_vals: vec![0.0; nnz],
             jac_fresh: false,
-            jac_age: 0,
             lu: None,
             lu_h: f64::NAN,
             w_spare: vec![0.0; n * n],
@@ -849,29 +841,12 @@ impl RosenbrockWork {
         self.jac_vals.len() == compiled.jacobian_nnz() && self.sym.matches(compiled)
     }
 
-    /// Forgets the cached Jacobian and factorization. Call when the state
-    /// changes discontinuously (injections, trigger firings) or when the
-    /// workspace is recycled for a new simulation: the next step then
-    /// behaves exactly like the first step of a fresh workspace.
+    /// Forgets the cached Jacobian and factorization. Call whenever the
+    /// state moves (an accepted step, an injection, a trigger firing) or
+    /// when the workspace is recycled for a new simulation: the next step
+    /// then behaves exactly like the first step of a fresh workspace.
     pub(crate) fn invalidate(&mut self) {
         self.jac_fresh = false;
-        self.jac_age = 0;
-    }
-
-    /// Bookkeeping after an accepted step: the cached Jacobian is now one
-    /// state older.
-    pub(crate) fn on_accept(&mut self) {
-        self.jac_age += 1;
-    }
-
-    /// Bookkeeping after a rejected step: a Jacobian evaluated at the
-    /// current state is still exact (only `h` was wrong), but an *aged*
-    /// one is suspect — the staleness may be what caused the rejection —
-    /// so force a refresh before the retry.
-    pub(crate) fn on_reject(&mut self) {
-        if self.jac_age > 0 {
-            self.jac_fresh = false;
-        }
     }
 
     /// Recovers the `n×n` scratch matrix and pivot buffer from wherever
@@ -891,23 +866,15 @@ impl RosenbrockWork {
     /// `err`; returns `false` when the linear system is singular (caller
     /// should shrink the step).
     ///
-    /// The Jacobian is re-evaluated only when the cache is invalid or has
-    /// aged past `max_age` accepted steps (`max_age == 0` reproduces the
-    /// evaluate-every-step behavior exactly). The LU factorization is
-    /// additionally reused when `h` is bit-identical to the cached one —
-    /// which it is whenever the controller pins `h` at `h_max`.
-    pub(crate) fn step(
-        &mut self,
-        compiled: &CompiledCrn,
-        y: &[f64],
-        h: f64,
-        max_age: usize,
-    ) -> bool {
+    /// The Jacobian is re-evaluated unless it was evaluated at `y` by an
+    /// earlier (rejected) trial since the last
+    /// [`invalidate`](Self::invalidate); the LU factorization is
+    /// additionally reused when `h` is bit-identical to the cached one.
+    pub(crate) fn step(&mut self, compiled: &CompiledCrn, y: &[f64], h: f64) -> bool {
         let n = self.n;
-        if !self.jac_fresh || self.jac_age > max_age {
+        if !self.jac_fresh {
             compiled.jacobian_sparse(y, &mut self.jac_vals);
             self.jac_fresh = true;
-            self.jac_age = 0;
             // any cached factorization was built from the old values
             match self.lu.take() {
                 Some(Factored::Sparse(a)) => self.w_spare = a,
@@ -1130,33 +1097,10 @@ mod tests {
         let compiled = CompiledCrn::new(&crn, &SimSpec::default());
         let mut work = RosenbrockWork::new(&compiled);
         let y = State::from_vec(vec![1.0]);
-        assert!(work.step(&compiled, y.as_slice(), 0.01, 0));
+        assert!(work.step(&compiled, y.as_slice(), 0.01));
         // exp(-0.01) ≈ 0.99004983…; a 2nd-order step is close
         assert!((work.y_new[0] - (-0.01f64).exp()).abs() < 1e-7);
         assert!(work.error_ratio(y.as_slice(), 1e-6, 1e-9) < 100.0);
-    }
-
-    #[test]
-    fn reused_jacobian_matches_fresh_on_linear_system() {
-        // For a linear network J is constant, so reuse is *exact*: the
-        // second step must agree bit-for-bit whether or not the Jacobian
-        // is re-evaluated.
-        let crn: Crn = "X -> 0 @slow".parse().unwrap();
-        let compiled = CompiledCrn::new(&crn, &SimSpec::default());
-
-        let mut fresh = RosenbrockWork::new(&compiled);
-        let mut reused = RosenbrockWork::new(&compiled);
-        let y0 = [1.0];
-        assert!(fresh.step(&compiled, &y0, 0.01, 0));
-        assert!(reused.step(&compiled, &y0, 0.01, 8));
-        assert_eq!(fresh.y_new, reused.y_new);
-        let y1 = [fresh.y_new[0]];
-        fresh.on_accept();
-        reused.on_accept();
-        assert!(fresh.step(&compiled, &y1, 0.01, 0));
-        assert!(reused.step(&compiled, &y1, 0.01, 8));
-        assert_eq!(fresh.y_new, reused.y_new);
-        assert_eq!(fresh.err, reused.err);
     }
 
     #[test]
@@ -1165,15 +1109,14 @@ mod tests {
         let compiled = CompiledCrn::new(&crn, &SimSpec::default());
         let mut work = RosenbrockWork::new(&compiled);
         let ya = [4.0, 0.0];
-        assert!(work.step(&compiled, &ya, 0.01, usize::MAX));
-        work.on_accept();
+        assert!(work.step(&compiled, &ya, 0.01));
         // without invalidation the Jacobian from `ya` would be reused;
         // after invalidation the step must match a fresh workspace at `yb`
         let yb = [1.0, 1.5];
         work.invalidate();
-        assert!(work.step(&compiled, &yb, 0.02, usize::MAX));
+        assert!(work.step(&compiled, &yb, 0.02));
         let mut fresh = RosenbrockWork::new(&compiled);
-        assert!(fresh.step(&compiled, &yb, 0.02, 0));
+        assert!(fresh.step(&compiled, &yb, 0.02));
         assert_eq!(work.y_new, fresh.y_new);
         assert_eq!(work.err, fresh.err);
     }

@@ -554,6 +554,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "tau-leaping does not support triggers")]
+    fn rejects_triggers() {
+        let crn: Crn = "X -> 0 @slow".parse().unwrap();
+        let x = crn.find_species("X").unwrap();
+        let schedule = Schedule::new().trigger(crate::Trigger::mark(crate::Condition::Above {
+            species: x,
+            threshold: 5.0,
+        }));
+        let _ = simulate_tau_leap(
+            &crn,
+            &State::new(&crn),
+            &schedule,
+            &TauLeapOptions::default(),
+            &SimSpec::default(),
+        );
+    }
+
+    #[test]
     fn rejects_bad_epsilon() {
         let crn: Crn = "X -> 0 @slow".parse().unwrap();
         let opts = TauLeapOptions {

@@ -73,7 +73,7 @@ mod server;
 
 pub use client::{Client, ClientError, FetchPage, JobStatusInfo, SubmitAck};
 pub use protocol::{
-    rows_to_summary, stats_summary, CellRow, CellSpec, Method, Program, ProtocolError, Request,
-    SubmitRequest,
+    check_horizon, rows_to_summary, stats_summary, CellRow, CellSpec, Method, Program,
+    ProtocolError, Request, SubmitRequest,
 };
 pub use server::{Server, ServerConfig, TenantPolicy};

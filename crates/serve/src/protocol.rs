@@ -105,9 +105,11 @@ impl Method {
         }
     }
 
-    /// Whether the server has a lock-step batched engine for this method.
-    /// ODE, SSA and tau-leap lanes advance together bit-identically to
-    /// their scalar runs; the hybrid engine has no batched counterpart.
+    /// Whether a submission of this method may name a `batch` width
+    /// above 1 (and gets one picked when it omits the field). An ODE unit
+    /// advances its cells as lock-step lanes, bit-identically to their
+    /// scalar runs; an SSA or tau-leap unit runs its cells one after
+    /// another. The hybrid method accepts width 1 only.
     #[must_use]
     pub fn supports_batch(self) -> bool {
         !matches!(self, Method::Hybrid)
@@ -166,14 +168,15 @@ pub struct SubmitRequest {
     pub seed: u64,
     /// Timed injections `(time, species name, amount)`.
     pub injections: Vec<(f64, String, f64)>,
-    /// Lock-step batch width: consecutive runs of this many cells advance
-    /// together through the batched kinetics engine (ODE, SSA or
-    /// tau-leap; the hybrid method has no batched engine and rejects
-    /// explicit widths above 1). `Some(1)` forces every cell onto the
-    /// scalar path; `None` (field omitted on the wire) lets the server
-    /// pick a width from the submitted cell count. Results are
-    /// bit-identical at every width, so the choice only moves wall time
-    /// and the `batch_width`/`lanes_retired` metric columns.
+    /// Work-unit width: the server queues consecutive runs of this many
+    /// cells as one unit. An ODE unit advances together through the
+    /// lock-step batched engine; an SSA or tau-leap unit runs its cells
+    /// one after another; the hybrid method rejects explicit widths
+    /// above 1. `Some(1)` makes every cell its own unit; `None` (field
+    /// omitted on the wire) lets the server pick a width from the
+    /// submitted cell count. Results are bit-identical at every width, so
+    /// the choice only moves wall time, queueing, and (for ODE) the
+    /// `batch_width`/`lanes_retired` metric columns.
     pub batch: Option<usize>,
     /// The cells to run, in index order.
     pub cells: Vec<CellSpec>,
@@ -381,6 +384,54 @@ impl Request {
     }
 }
 
+/// The most trace samples one cell may ask for (2^20, the bound the
+/// engines already cap their trace preallocation at).
+const MAX_TRACE_SAMPLES: u64 = 1 << 20;
+
+/// The engines' sampling interval when a submission names none.
+const DEFAULT_RECORD_INTERVAL: f64 = 0.1;
+
+/// Checks a submission's horizon: `t_end` and `record_interval` (when
+/// given) must be finite positive times, and together must ask for at
+/// most 2^20 trace samples per cell, `ceil(t_end / record_interval)`,
+/// with an interval of 0.1 when it is absent.
+///
+/// Every engine records its whole trace in memory and keeps recording
+/// through event-free stretches where no step hook runs, so an
+/// oversized request is an allocation no budget can stop — and an
+/// allocation failure aborts the whole process, not just the cell.
+///
+/// # Errors
+///
+/// [`ProtocolError`] naming the offending field, or both fields for a
+/// request over the sample cap.
+pub fn check_horizon(t_end: f64, record_interval: Option<f64>) -> Result<(), ProtocolError> {
+    if !t_end.is_finite() || t_end <= 0.0 {
+        return Err(ProtocolError::new("`t_end` must be a finite positive time"));
+    }
+    // a sampling interval of zero or below would spin a worker's
+    // recording loop forever
+    if record_interval.is_some_and(|dt| !dt.is_finite() || dt <= 0.0) {
+        return Err(ProtocolError::new(
+            "`record_interval` must be a finite positive time",
+        ));
+    }
+    let dt = record_interval.unwrap_or(DEFAULT_RECORD_INTERVAL);
+    let samples = (t_end / dt).ceil();
+    if samples > MAX_TRACE_SAMPLES as f64 {
+        let interval = match record_interval {
+            Some(_) => format!("`record_interval` {dt}"),
+            None => format!("the default `record_interval` {dt}"),
+        };
+        return Err(ProtocolError::new(format!(
+            "`t_end` {t_end} at {interval} asks for {samples:.0} trace samples per cell; \
+             at most {MAX_TRACE_SAMPLES} are recorded (raise `record_interval` or \
+             shorten `t_end`)"
+        )));
+    }
+    Ok(())
+}
+
 /// Resolves the tagged `program` field (or the legacy bare `network`
 /// string). Netlist text is parsed and elaborated here, so a malformed
 /// netlist fails with line/column info before any worker — the same
@@ -510,20 +561,12 @@ fn parse_submit(doc: &JsonValue) -> Result<SubmitRequest, ProtocolError> {
     };
     // reject an unusable horizon at the wire, before any admission or
     // compilation work: NaN travels as JSON null (caught as a missing
-    // numeric field above), but ±inf, zero and negative times parse fine
-    // and would otherwise reach the workers
+    // numeric field), but ±inf, zero and negative times parse fine and
+    // would otherwise reach the workers; an absent (or null) interval
+    // takes the default
     let t_end = get_f64(doc, "t_end")?;
-    if !t_end.is_finite() || t_end <= 0.0 {
-        return Err(ProtocolError::new("`t_end` must be a finite positive time"));
-    }
-    // a sampling interval of zero or below would spin a worker's
-    // recording loop forever; an absent (or null) one takes the default
     let record_interval = opt_f64(doc, "record_interval");
-    if record_interval.is_some_and(|dt| !dt.is_finite() || dt <= 0.0) {
-        return Err(ProtocolError::new(
-            "`record_interval` must be a finite positive time",
-        ));
-    }
+    check_horizon(t_end, record_interval)?;
     let program = parse_program_field(doc)?;
     Ok(SubmitRequest {
         tenant: get_str(doc, "tenant")?,
@@ -829,7 +872,7 @@ mod tests {
     }
 
     #[test]
-    fn only_the_hybrid_method_lacks_a_batched_engine() {
+    fn only_the_hybrid_method_rejects_batch_widths() {
         assert!(Method::Ode.supports_batch());
         assert!(Method::Ssa.supports_batch());
         assert!(Method::Tau.supports_batch());
@@ -874,6 +917,32 @@ mod tests {
         assert!(Request::parse(&line("0.25")).is_ok());
         // null is an absent field: the engine default applies
         assert!(Request::parse(&line("null")).is_ok());
+    }
+
+    #[test]
+    fn horizons_over_the_sample_cap_are_rejected_at_parse_time() {
+        let line = |t_end: &str, dt: &str| {
+            format!(
+                "{{\"op\":\"submit\",\"tenant\":\"t\",\"network\":\"X -> Y @slow\",\
+                 \"method\":\"ssa\",\"t_end\":{t_end},\"record_interval\":{dt},\
+                 \"cells\":[{{\"label\":\"c\"}}]}}"
+            )
+        };
+        // exactly 2^20 samples is the cap; one interval more is over it
+        assert!(Request::parse(&line("1048576", "1")).is_ok());
+        assert!(Request::parse(&line("1048576.5", "1")).is_err());
+        for (t_end, dt) in [("1e12", "null"), ("1e9", "null"), ("1e7", "1e-3")] {
+            let err = Request::parse(&line(t_end, dt)).unwrap_err();
+            let msg = err.message();
+            assert!(
+                msg.contains("`t_end`") && msg.contains("`record_interval`"),
+                "{t_end}/{dt}: {err}"
+            );
+        }
+        // the default interval of 0.1 applies when the field is absent
+        assert!(Request::parse(&line("104857", "null")).is_ok());
+        assert!(Request::parse(&line("104858", "null")).is_err());
+        assert!(check_horizon(1.0e9, Some(1.0e4)).is_ok());
     }
 
     #[test]

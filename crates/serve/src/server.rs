@@ -6,12 +6,11 @@
 //! isolation — so the rows a job streams back are bit-identical to an
 //! in-process sweep of the same request, whatever the worker count.
 
-use crate::protocol::{CellRow, CellSpec, Method, Program, Request, SubmitRequest};
+use crate::protocol::{check_horizon, CellRow, CellSpec, Method, Program, Request, SubmitRequest};
 use molseq_crn::{Crn, RateAssignment};
 use molseq_kinetics::{
-    run_ode_batch, run_ssa_batch, run_tau_batch, BatchLane, BatchedOdeWorkspace,
-    BatchedStochWorkspace, CompiledCache, CompiledCrn, HybridOptions, OdeOptions, Schedule,
-    SimError, SimMetrics, SimSpec, Simulation, SsaBatchLane, SsaOptions, State, TauBatchLane,
+    run_ode_batch, BatchLane, BatchedOdeWorkspace, CompiledCache, CompiledCrn, HybridOptions,
+    OdeOptions, Schedule, SimError, SimMetrics, SimSpec, Simulation, SsaOptions, State,
     TauLeapOptions,
 };
 use molseq_sweep::{
@@ -165,8 +164,9 @@ struct JobPlan {
     method: Method,
     t_end: f64,
     record_interval: Option<f64>,
-    /// Resolved lock-step lanes per queue unit (1 = scalar). ODE, SSA and
-    /// tau-leap jobs group; hybrid jobs are always scalar.
+    /// Resolved cells per queue unit (1 = one cell per unit). ODE, SSA
+    /// and tau-leap jobs group (ODE units as lock-step lanes); hybrid jobs
+    /// are always one cell per unit.
     batch: usize,
     cells: Vec<PlanCell>,
 }
@@ -212,8 +212,8 @@ struct Counters {
 struct Shared {
     config: ServerConfig,
     cache: CompiledCache,
-    /// Work units `(job, first cell index, lane count)`: one cell for
-    /// scalar jobs, a lock-step group of consecutive cells otherwise.
+    /// Work units `(job, first cell index, cell count)`: one cell for
+    /// width-1 jobs, a run of consecutive cells otherwise.
     queue: Mutex<VecDeque<(Arc<JobEntry>, usize, usize)>>,
     queue_ready: Condvar,
     jobs: Mutex<HashMap<String, Arc<JobEntry>>>,
@@ -481,14 +481,14 @@ fn release_slot(shared: &Shared, tenant: &str) {
 }
 
 /// The width the server picks for a submission that omitted `batch`: one
-/// lane per cell, capped so a huge sweep still spreads across the worker
-/// pool instead of collapsing into one giant work unit.
+/// unit for all cells, capped so a huge sweep still spreads across the
+/// worker pool instead of collapsing into one giant work unit.
 const AUTO_BATCH_CAP: usize = 8;
 
-/// Resolves a submission's lock-step width. An explicit width above 1 on
-/// a method without a batched engine is a *method* error (distinct from
-/// the parse layer's *width* error for `batch: 0`); an omitted width auto
-/// -selects from the cell count — scalar for methods that cannot group.
+/// Resolves a submission's work-unit width. An explicit width above 1 on
+/// a method that cannot group is a *method* error (distinct from the
+/// parse layer's *width* error for `batch: 0`); an omitted width auto
+/// -selects from the cell count — 1 for methods that cannot group.
 fn resolve_batch(req: &SubmitRequest) -> Result<usize, String> {
     match req.batch {
         Some(width) => {
@@ -510,9 +510,7 @@ fn handle_submit(shared: &Shared, req: &SubmitRequest) -> Result<JsonValue, Stri
     if req.cells.is_empty() {
         return Err("a submission needs at least one cell".to_owned());
     }
-    if !req.t_end.is_finite() || req.t_end <= 0.0 {
-        return Err("`t_end` must be finite and positive".to_owned());
-    }
+    check_horizon(req.t_end, req.record_interval).map_err(|e| e.message().to_owned())?;
     let batch = resolve_batch(req)?;
     admit(shared, &req.tenant)?;
     // any validation failure from here on must hand the slot back
@@ -861,10 +859,14 @@ fn worker_loop(shared: &Shared) {
             .counters
             .running_cells
             .fetch_add(width as u64, Ordering::Relaxed);
-        let rows = if width == 1 {
-            vec![run_plan_cell(&entry, base)]
-        } else {
+        // an ODE unit advances as lock-step lanes; an SSA or tau-leap
+        // unit runs its cells one after another
+        let rows = if width > 1 && entry.plan.method == Method::Ode {
             run_plan_group(&entry, base, width)
+        } else {
+            (base..base + width)
+                .map(|index| run_plan_cell(&entry, index))
+                .collect()
         };
         shared
             .counters
@@ -928,15 +930,13 @@ fn run_plan_cell(entry: &JobEntry, index: usize) -> CellRow {
     row_from_result(run_cell(&job, index, &entry.opts, Some(&entry.cancel)))
 }
 
-/// Runs `width` consecutive cells of a job as one lock-step group: one
-/// [`GroupJob`] through [`run_group`] (same per-cell seeds and outcome
+/// Runs `width` consecutive cells of an ODE job as one lock-step group:
+/// one [`GroupJob`] through [`run_group`] (same per-cell seeds and outcome
 /// mapping as the scalar path), whose body advances every lane together
-/// via the method's batched engine — [`run_ode_batch`],
-/// [`run_ssa_batch`] or [`run_tau_batch`]. Each batched engine is
-/// bit-identical to its scalar integrator lane by lane (the stochastic
-/// ones via per-lane RNG streams seeded exactly as the scalar path
-/// seeds them), so the rows this produces are byte-identical to `width`
-/// [`run_plan_cell`] calls.
+/// via [`run_ode_batch`]. The batched engine is bit-identical to the
+/// scalar integrator lane by lane, so the rows this produces equal
+/// `width` [`run_plan_cell`] calls except for the
+/// `batch_width`/`lanes_retired` columns.
 fn run_plan_group(entry: &JobEntry, base: usize, width: usize) -> Vec<CellRow> {
     let plan = &entry.plan;
     let chunk = &plan.cells[base..base + width];
@@ -947,77 +947,27 @@ fn run_plan_group(entry: &JobEntry, base: usize, width: usize) -> Vec<CellRow> {
             .iter()
             .map(|_| Cell::new(SimMetrics::default()))
             .collect();
-        let stoch_opts = |k: usize| {
-            let mut opts = SsaOptions::default()
-                .with_t_end(plan.t_end)
-                .with_seed(ctxs[k].seed())
-                .with_step_hook(&hooks[k])
-                .with_metrics(&sinks[k]);
-            if let Some(dt) = plan.record_interval {
-                opts = opts.with_record_interval(dt);
-            }
-            opts
-        };
-        let results = match plan.method {
-            Method::Ode => {
-                let lanes: Vec<BatchLane> = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(k, cell)| {
-                        let mut opts = OdeOptions::default()
-                            .with_t_end(plan.t_end)
-                            .with_step_hook(&hooks[k])
-                            .with_metrics(&sinks[k]);
-                        if let Some(dt) = plan.record_interval {
-                            opts = opts.with_record_interval(dt);
-                        }
-                        BatchLane {
-                            compiled: &cell.compiled,
-                            init: &plan.init,
-                            schedule: &plan.schedule,
-                            options: opts,
-                        }
-                    })
-                    .collect();
-                let mut workspace = BatchedOdeWorkspace::new();
-                run_ode_batch(&plan.crn, &lanes, &mut workspace)
-            }
-            Method::Ssa => {
-                let lanes: Vec<SsaBatchLane> = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(k, cell)| SsaBatchLane {
-                        compiled: &cell.compiled,
-                        init: &plan.init,
-                        schedule: &plan.schedule,
-                        options: stoch_opts(k),
-                    })
-                    .collect();
-                let mut workspace = BatchedStochWorkspace::new();
-                run_ssa_batch(&plan.crn, &lanes, &mut workspace)
-            }
-            Method::Tau => {
-                let lanes: Vec<TauBatchLane> = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(k, cell)| TauBatchLane {
-                        compiled: &cell.compiled,
-                        init: &plan.init,
-                        schedule: &plan.schedule,
-                        options: TauLeapOptions {
-                            base: stoch_opts(k),
-                            ..TauLeapOptions::default()
-                        },
-                    })
-                    .collect();
-                let mut workspace = BatchedStochWorkspace::new();
-                run_tau_batch(&plan.crn, &lanes, &mut workspace)
-            }
-            Method::Hybrid => {
-                unreachable!("hybrid submissions never enqueue grouped units")
-            }
-        };
-        results
+        let lanes: Vec<BatchLane> = chunk
+            .iter()
+            .enumerate()
+            .map(|(k, cell)| {
+                let mut opts = OdeOptions::default()
+                    .with_t_end(plan.t_end)
+                    .with_step_hook(&hooks[k])
+                    .with_metrics(&sinks[k]);
+                if let Some(dt) = plan.record_interval {
+                    opts = opts.with_record_interval(dt);
+                }
+                BatchLane {
+                    compiled: &cell.compiled,
+                    init: &plan.init,
+                    schedule: &plan.schedule,
+                    options: opts,
+                }
+            })
+            .collect();
+        let mut workspace = BatchedOdeWorkspace::new();
+        run_ode_batch(&plan.crn, &lanes, &mut workspace)
             .into_iter()
             .zip(ctxs)
             .zip(&sinks)

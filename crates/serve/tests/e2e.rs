@@ -19,7 +19,9 @@ use molseq_sweep::{JobBudget, JobStatus};
 
 /// A stochastic decay sweep: `amplitude` copies of X decaying to Y,
 /// `reps` seeds, plus one cell with an explicit rate override so the
-/// rebind path is always exercised.
+/// rebind path is always exercised. The long horizon is recorded every
+/// 100 time units, under the server's trace-sample cap (the draws and
+/// final states do not depend on the interval).
 fn decay_submit(tenant: &str, amplitude: f64, reps: usize) -> SubmitRequest {
     let mut cells: Vec<CellSpec> = (0..reps)
         .map(|i| CellSpec {
@@ -39,7 +41,7 @@ fn decay_submit(tenant: &str, amplitude: f64, reps: usize) -> SubmitRequest {
         init: vec![("X".to_owned(), amplitude)],
         method: Method::Ssa,
         t_end: 1.0e6,
-        record_interval: None,
+        record_interval: Some(100.0),
         seed: 11,
         injections: vec![(0.5, "X".to_owned(), 3.0)],
         batch: Some(1),
@@ -197,14 +199,15 @@ fn admission_control_rejects_at_the_inflight_limit_and_cancel_frees_the_slot() {
     // a job that cannot finish on its own: the two-way flip keeps firing
     // SSA events for the whole (astronomical) horizon, so it is
     // guaranteed to still be running through the admission and
-    // cancellation checks below; cancellation cuts it at the next event
+    // cancellation checks below; cancellation cuts it at the next event.
+    // The sparse interval keeps it under the trace-sample cap.
     let long = SubmitRequest {
         tenant: "busy".to_owned(),
         program: Program::Crn("X -> Y @slow\nY -> X @slow".to_owned()),
         init: vec![("X".to_owned(), 100.0)],
         method: Method::Ssa,
         t_end: 1.0e9,
-        record_interval: None,
+        record_interval: Some(1.0e4),
         seed: 3,
         injections: vec![],
         batch: Some(1),
@@ -323,9 +326,9 @@ fn batched_ode_submission_matches_scalar_byte_for_byte() {
 
 #[test]
 fn batched_stochastic_submissions_match_scalar_byte_for_byte() {
-    // the tentpole claim over the wire: SSA and tau-leap lanes advanced
-    // in lock step are bit-identical to the scalar path, per lane, so
-    // the streamed rows cannot change with the requested width
+    // an SSA or tau-leap unit runs its cells one after another through
+    // the scalar engines, so the streamed rows — the `batch_width` and
+    // `lanes_retired` columns included — cannot change with the width
     let server = Server::start(ServerConfig::default().with_workers(2)).expect("server boots");
     let mut client = Client::connect(server.addr()).expect("client connects");
     for method in [Method::Ssa, Method::Tau] {
@@ -347,8 +350,8 @@ fn batched_stochastic_submissions_match_scalar_byte_for_byte() {
             let ack = client.submit(&submit).expect("batched submission is valid");
             let rows = client.fetch_all(&ack.job_id).expect("job completes");
             assert_eq!(
-                render_without_batch_columns(&scalar_rows),
-                render_without_batch_columns(&rows),
+                render(&scalar_rows),
+                render(&rows),
                 "{method:?} batch {batch}"
             );
         }
@@ -378,8 +381,8 @@ fn omitted_batch_width_is_auto_selected_and_matches_an_explicit_width() {
     let pinned_rows = client.fetch_all(&pinned_ack.job_id).expect("job completes");
     assert_eq!(render(&auto_rows), render(&pinned_rows));
 
-    // hybrid has no batched engine, so an omitted width resolves to the
-    // scalar path instead of a group — and is accepted, not rejected
+    // hybrid cannot group, so an omitted width resolves to one cell per
+    // unit — and is accepted, not rejected
     let hybrid = SubmitRequest {
         method: Method::Hybrid,
         program: Program::Crn("0 -> R @fast\nR + X -> X @slow\nX -> Y @slow".to_owned()),
@@ -740,6 +743,83 @@ fn unusable_record_intervals_bounce_and_oversized_counts_fail_their_cell() {
     let rows = client.fetch_all(&ok.job_id).expect("job completes");
     assert!(rows.iter().all(|r| r.status == JobStatus::Ok));
 
+    client.shutdown().expect("shutdown round trip");
+    server.join();
+}
+
+/// A submit asking for more trace samples than the server records
+/// (`ceil(t_end / record_interval)` above 2^20, with the default interval
+/// of 0.1) used to be acknowledged and then abort the whole process on
+/// the trace allocation. It must bounce at the wire naming both fields,
+/// while a job at the cap and a normal job on the same connection still
+/// run to completion.
+#[test]
+fn a_submit_over_the_trace_sample_cap_bounces_and_the_server_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let server = Server::start(ServerConfig::default().with_workers(1)).expect("server boots");
+    let stream = TcpStream::connect(server.addr()).expect("raw connection");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut send = |line: String| {
+        let mut writer = &stream;
+        writer.write_all(line.as_bytes()).expect("line written");
+        writer.write_all(b"\n").expect("newline written");
+        writer.flush().expect("line flushed");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply arrives");
+        reply
+    };
+    let submit = |horizon: &str| {
+        format!(
+            "{{\"op\": \"submit\", \"tenant\": \"acme\", \"network\": \"X -> Y @slow\", \
+             \"init\": [[\"X\", 30]], \"method\": \"ssa\", \"seed\": 1, {horizon}, \
+             \"cells\": [{{\"label\": \"c\"}}]}}"
+        )
+    };
+
+    for horizon in [
+        "\"t_end\": 1e12",
+        "\"t_end\": 2e7, \"record_interval\": 10",
+        "\"t_end\": 1048577, \"record_interval\": 1",
+    ] {
+        let reply = send(submit(horizon));
+        assert!(
+            reply.contains("\"ok\":false")
+                && reply.contains("t_end")
+                && reply.contains("record_interval"),
+            "reply for {horizon}: {reply}"
+        );
+    }
+
+    // exactly at the cap, and an ordinary job: both admitted and run
+    for horizon in ["\"t_end\": 1048576, \"record_interval\": 1", "\"t_end\": 5"] {
+        let ack = send(submit(horizon));
+        assert!(ack.contains("\"ok\":true"), "ack for {horizon}: {ack}");
+        let job = ack
+            .split("\"job\":\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .expect("ack names the job")
+            .to_owned();
+        let page = loop {
+            let page = send(format!(
+                "{{\"op\": \"fetch\", \"job\": \"{job}\", \"from\": 0, \"wait\": true}}"
+            ));
+            if page.contains("\"done\":true") {
+                break page;
+            }
+        };
+        assert!(
+            page.contains("\"status\":\"Ok\""),
+            "rows for {horizon}: {page}"
+        );
+    }
+
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    let stats = client.stats().expect("stats round trip");
+    assert_eq!(counter(&stats, "jobs_submitted"), 2.0);
+    assert_eq!(counter(&stats, "cells_ok"), 2.0);
     client.shutdown().expect("shutdown round trip");
     server.join();
 }

@@ -1,21 +1,16 @@
 //! Property tests for the precomputed sparse Jacobian
-//! ([`CompiledCrn::jacobian_sparse`]) and the stiff integrator's
-//! Jacobian-reuse policy.
+//! ([`CompiledCrn::jacobian_sparse`]).
 //!
-//! Three invariants, over random mass-action networks:
+//! Two invariants, over random mass-action networks:
 //!
 //! 1. the CSR-scattered sparse Jacobian agrees with the dense one
 //!    **bitwise** (both paths accumulate in the same order),
 //! 2. the dense Jacobian agrees with a central difference of
 //!    [`CompiledCrn::derivative`] (mass action with per-species order ≤ 2
-//!    makes the difference quotient exact up to rounding),
-//! 3. reusing a factored Jacobian across accepted steps (the default
-//!    policy) does not move test-visible observables of the paper's E1
-//!    clock compared to refreshing every step.
+//!    makes the difference quotient exact up to rounding).
 
 use molseq::crn::{Crn, Rate};
-use molseq::kinetics::{estimate_period, CompiledCrn, OdeOptions, SimSpec, Simulation};
-use molseq::sync::{Clock, SchemeConfig};
+use molseq::kinetics::{CompiledCrn, SimSpec};
 use proptest::prelude::*;
 
 /// One sampled reaction: reactant indices/stoichiometries, a product, and
@@ -133,51 +128,5 @@ proptest! {
                 );
             }
         }
-    }
-}
-
-/// Opting in to Jacobian reuse across accepted steps must not move the
-/// E1 clock's test-asserted observables: the period estimate and the
-/// final phase amounts, compared against the evaluate-every-step default
-/// (`DEFAULT_JACOBIAN_REUSE = 0`). Staleness may cost step size — the
-/// rejection/refresh policy keeps it from costing accuracy.
-#[test]
-fn jacobian_reuse_preserves_clock_observables() {
-    let token = 100.0;
-    let clock = Clock::build(SchemeConfig::default(), token).expect("clock");
-    let spec = SimSpec::default();
-    let compiled = CompiledCrn::new(clock.crn(), &spec);
-    let base = OdeOptions::default()
-        .with_t_end(30.0)
-        .with_record_interval(0.02);
-
-    let run = |opts: &OdeOptions| {
-        Simulation::new(clock.crn(), &compiled)
-            .init(&clock.initial_state())
-            .options(*opts)
-            .run()
-            .expect("clock simulates")
-    };
-    let fresh = run(&base);
-    let reused = run(&base.with_jacobian_reuse(8));
-
-    let period = |trace: &molseq::kinetics::Trace| {
-        estimate_period(trace.times(), &trace.series(clock.red()), token / 2.0)
-            .expect("clock oscillates")
-    };
-    let (p_fresh, p_reused) = (period(&fresh), period(&reused));
-    assert!(
-        (p_fresh - p_reused).abs() < 0.02 * p_fresh,
-        "period moved: {p_fresh} vs {p_reused}"
-    );
-    for s in [clock.red(), clock.green(), clock.blue()] {
-        let (a, b) = (
-            fresh.final_state()[s.index()],
-            reused.final_state()[s.index()],
-        );
-        assert!(
-            (a - b).abs() < 0.02 * token,
-            "final phase amount moved: {a} vs {b}"
-        );
     }
 }

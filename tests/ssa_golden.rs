@@ -1,20 +1,27 @@
-//! Golden trajectories of the exact SSA (Gillespie direct method).
+//! Golden trajectories of the exact SSA (Gillespie direct method), the
+//! Rosenbrock ODE integrator, the cycle harness and explicit
+//! tau-leaping.
 //!
-//! Each case runs a paper circuit at small molecule counts with its
-//! per-cycle input trigger, and hashes everything the run reports: every
-//! sample time and state bit, every trigger mark, the error of a cut run
-//! and the `SimMetrics` counters. The hashes were recorded from the
+//! Each SSA and ODE case runs a paper circuit with its per-cycle input
+//! trigger, and hashes everything the run reports: every sample time and
+//! state bit, every trigger mark, the error of a cut run and the
+//! `SimMetrics` counters. The SSA hashes were recorded from the
 //! full-recompute direct method (every propensity re-evaluated at every
 //! event), so any change to the engine's propensity bookkeeping has to
-//! reproduce those runs bit for bit. Every case runs through the scalar
-//! `Simulation` path and through `run_ssa_batch` at widths 1 and 4.
+//! reproduce those runs bit for bit. The ODE, harness and tau-leap hashes
+//! were recorded before RK4, Cash–Karp, the Jacobian-reuse knob and the
+//! stochastic lanes were deleted; every ODE case runs through the scalar
+//! `Simulation` path and through `run_ode_batch` at widths 1 and 4.
 
+use molseq::crn::{Crn, RateAssignment};
 use molseq::dsp::moving_average;
 use molseq::kinetics::{
-    run_ssa_batch, BatchedStochWorkspace, CompiledCrn, Schedule, SimError, SimMetrics, SimSpec,
-    Simulation, SsaBatchLane, SsaOptions, Trace,
+    run_ode_batch, BatchLane, BatchedOdeWorkspace, CompiledCrn, OdeOptions, Schedule, SimError,
+    SimMetrics, SimSpec, Simulation, SsaOptions, State, TauLeapOptions, Trace,
 };
-use molseq::sync::{BinaryCounter, ClockSpec, CompiledSystem};
+use molseq::sync::{
+    drive_cycles, BinaryCounter, ClockSpec, CompiledSystem, CycleResources, RunConfig, SyncRun,
+};
 use std::cell::Cell;
 use std::ops::ControlFlow;
 
@@ -98,17 +105,18 @@ fn outcome_hash(result: &Result<Trace, SimError>, m: &SimMetrics) -> u64 {
     h.0
 }
 
-/// How a case deviates from a plain triggered run.
+/// How a case deviates from a plain run (the circuit cases also carry
+/// their input trigger).
 #[derive(Clone, Copy, Debug)]
 enum Variant {
-    /// Input trigger only.
+    /// Nothing else.
     Plain,
-    /// Input trigger, a timed injection into the input species, and a
-    /// lane-specific rate binding.
+    /// A timed injection and a case-specific rate binding.
     Injection,
-    /// Input trigger and an event budget that runs out mid-span.
+    /// An event (SSA, tau-leap) or step (ODE) budget that runs out
+    /// mid-span.
     MaxEvents(usize),
-    /// Input trigger and a step hook that interrupts mid-span.
+    /// A step hook that interrupts mid-span.
     Hook(u64),
 }
 
@@ -261,7 +269,102 @@ fn run_scalar(c: &Circuit, lanes: &[Lane]) -> Runs {
     runs
 }
 
-fn run_batched(c: &Circuit, lanes: &[Lane], width: usize) -> Runs {
+/// Checks the scalar SSA runs of `c` against `golden`.
+fn check(c: &Circuit, golden: [u64; 4]) {
+    let lanes = lanes(c);
+    let scalar = run_scalar(c, &lanes);
+    let report = format!("{}: scalar {:x?}", c.name, scalar.hashes);
+    // every variant reaches the exit it is meant to exercise
+    assert_eq!(
+        scalar.outcomes,
+        ["ok", "ok", "max_events", "hook"],
+        "{report}"
+    );
+    assert_eq!(scalar.hashes, golden, "scalar hashes moved; {report}");
+    assert!(scalar.shapes.iter().all(|&s| s == (0, 0)), "{report}");
+}
+
+#[test]
+fn counter2_trajectories_match_their_golden_hashes() {
+    check(
+        &counter2(),
+        [
+            0xda3f_d3f5_7e5d_ae90,
+            0x9c1d_f0a1_58cb_7067,
+            0x8ec7_7d06_f806_3e51,
+            0x8a48_e9c1_77e6_b07f,
+        ],
+    );
+}
+
+#[test]
+fn moving_average2_trajectories_match_their_golden_hashes() {
+    check(
+        &filter2(),
+        [
+            0x8855_1f45_4da1_3ded,
+            0xe4c7_3d4d_6691_c04d,
+            0x64bc_9a2f_2fb2_fd27,
+            0x95a7_e8cb_f947_05df,
+        ],
+    );
+}
+
+// --- deterministic ODE: scalar, and lock-step lanes at widths 1 and 4 ---
+
+/// The ODE variants: the budget and the hook limit count attempted
+/// integrator steps.
+const ODE_VARIANTS: [Variant; 4] = [
+    Variant::Plain,
+    Variant::Injection,
+    Variant::MaxEvents(ODE_STEP_CUT),
+    Variant::Hook(ODE_HOOK_CUT),
+];
+
+const ODE_STEP_CUT: usize = 20_000;
+const ODE_HOOK_CUT: u64 = 15_000;
+
+fn ode_options<'h>(
+    lane: &Lane,
+    sink: &'h Cell<SimMetrics>,
+    hook: &'h dyn Fn(u64, f64) -> ControlFlow<String>,
+) -> OdeOptions<'h> {
+    let opts = OdeOptions::default()
+        .with_t_end(lane.t_end)
+        .with_record_interval(0.5)
+        .with_metrics(sink);
+    match lane.variant {
+        Variant::MaxEvents(n) => opts.with_max_steps(n),
+        Variant::Hook(_) => opts.with_step_hook(hook),
+        Variant::Plain | Variant::Injection => opts,
+    }
+}
+
+fn ode_lanes(c: &Circuit) -> Vec<Lane> {
+    let mut lanes = lanes(c);
+    for (lane, variant) in lanes.iter_mut().zip(ODE_VARIANTS) {
+        lane.variant = variant;
+    }
+    lanes
+}
+
+fn run_ode_scalar(c: &Circuit, lanes: &[Lane]) -> Runs {
+    let init = c.system.initial_state();
+    let mut runs = Runs::default();
+    for lane in lanes {
+        let sink = Cell::new(SimMetrics::default());
+        let hook = hook_for(lane.variant);
+        let result = Simulation::new(c.system.crn(), &lane.compiled)
+            .init(&init)
+            .schedule(&lane.schedule)
+            .options(ode_options(lane, &sink, &hook))
+            .run();
+        runs.record(&result, sink.get());
+    }
+    runs
+}
+
+fn run_ode_lanes(c: &Circuit, lanes: &[Lane], width: usize) -> Runs {
     let init = c.system.initial_state();
     let sinks: Vec<Cell<SimMetrics>> = lanes
         .iter()
@@ -269,18 +372,18 @@ fn run_batched(c: &Circuit, lanes: &[Lane], width: usize) -> Runs {
         .collect();
     let hooks: Vec<_> = lanes.iter().map(|l| hook_for(l.variant)).collect();
     let mut runs = Runs::default();
-    let mut ws = BatchedStochWorkspace::new();
+    let mut ws = BatchedOdeWorkspace::new();
     for chunk in (0..lanes.len()).collect::<Vec<_>>().chunks(width) {
-        let batch: Vec<SsaBatchLane> = chunk
+        let batch: Vec<BatchLane> = chunk
             .iter()
-            .map(|&k| SsaBatchLane {
+            .map(|&k| BatchLane {
                 compiled: &lanes[k].compiled,
                 init: &init,
                 schedule: &lanes[k].schedule,
-                options: options(&lanes[k], &sinks[k], &hooks[k]),
+                options: ode_options(&lanes[k], &sinks[k], &hooks[k]),
             })
             .collect();
-        let results = run_ssa_batch(c.system.crn(), &batch, &mut ws);
+        let results = run_ode_batch(c.system.crn(), &batch, &mut ws);
         for (&k, result) in chunk.iter().zip(&results) {
             runs.record(result, sinks[k].get());
         }
@@ -288,18 +391,17 @@ fn run_batched(c: &Circuit, lanes: &[Lane], width: usize) -> Runs {
     runs
 }
 
-/// Checks scalar, width-1 and width-4 runs of `c` against `golden`, and
-/// the width-4 retirement ordinals against `retired`.
-fn check(c: &Circuit, golden: [u64; 4], retired: [u64; 4]) {
-    let lanes = lanes(c);
-    let scalar = run_scalar(c, &lanes);
-    let w1 = run_batched(c, &lanes, 1);
-    let w4 = run_batched(c, &lanes, 4);
+/// Checks scalar, width-1 and width-4 ODE runs of `c` against `golden`,
+/// and the width-4 retirement ordinals against `retired`.
+fn check_ode(c: &Circuit, golden: [u64; 4], retired: [u64; 4]) {
+    let lanes = ode_lanes(c);
+    let scalar = run_ode_scalar(c, &lanes);
+    let w1 = run_ode_lanes(c, &lanes, 1);
+    let w4 = run_ode_lanes(c, &lanes, 4);
     let report = format!(
         "{}: scalar {:x?} w1 {:x?} w4 {:x?} w4 shapes {:?}",
         c.name, scalar.hashes, w1.hashes, w4.hashes, w4.shapes
     );
-    // every variant reaches the exit it is meant to exercise
     for runs in [&scalar, &w1, &w4] {
         assert_eq!(
             runs.outcomes,
@@ -318,29 +420,150 @@ fn check(c: &Circuit, golden: [u64; 4], retired: [u64; 4]) {
 }
 
 #[test]
-fn counter2_trajectories_match_their_golden_hashes() {
-    check(
+fn counter2_ode_trajectories_match_their_golden_hashes() {
+    check_ode(
         &counter2(),
         [
-            0xda3f_d3f5_7e5d_ae90,
-            0x9c1d_f0a1_58cb_7067,
-            0x8ec7_7d06_f806_3e51,
-            0x8a48_e9c1_77e6_b07f,
+            0xe092_227d_3299_d4a2,
+            0xedbc_00ba_9941_8519,
+            0x72fe_280e_a257_7580,
+            0x3bad_472d_5aa1_a53b,
         ],
         [3, 2, 1, 0],
     );
 }
 
 #[test]
-fn moving_average2_trajectories_match_their_golden_hashes() {
-    check(
+fn moving_average2_ode_trajectories_match_their_golden_hashes() {
+    check_ode(
         &filter2(),
         [
-            0x8855_1f45_4da1_3ded,
-            0xe4c7_3d4d_6691_c04d,
-            0x64bc_9a2f_2fb2_fd27,
-            0x95a7_e8cb_f947_05df,
+            0xc250_1e56_5b36_c457,
+            0xb537_ccac_a005_1351,
+            0x291a_7bc8_fb7a_181a,
+            0x15a1_5fbc_7df6_a069,
         ],
         [3, 2, 1, 0],
     );
+}
+
+// --- the cycle harness: its fixed ODE tolerances ---
+
+/// Hash of a harness run: the trace and work counters as
+/// [`outcome_hash`], then the per-cycle sample times and every register
+/// series in name order.
+fn sync_run_hash(system: &CompiledSystem, run: &SyncRun, m: &SimMetrics) -> u64 {
+    let mut h = Fnv::new();
+    h.word(outcome_hash(&Ok(run.trace().clone()), m));
+    for &t in run.sample_times() {
+        h.real(t);
+    }
+    let mut names: Vec<&str> = system.register_names().collect();
+    names.sort_unstable();
+    for name in names {
+        for &v in run.register_series(name).expect("captured") {
+            h.real(v);
+        }
+    }
+    h.0
+}
+
+fn drive_hash(c: &Circuit) -> u64 {
+    let sink = Cell::new(SimMetrics::default());
+    let config = RunConfig {
+        metrics: Some(&sink),
+        ..RunConfig::default()
+    };
+    let run = drive_cycles(
+        &c.system,
+        &[(c.input, &c.samples)],
+        c.samples.len(),
+        &config,
+        CycleResources::default(),
+    )
+    .expect("drives");
+    sync_run_hash(&c.system, &run, &sink.get())
+}
+
+#[test]
+fn cycle_harness_runs_match_their_golden_hashes() {
+    let hashes = [drive_hash(&counter2()), drive_hash(&filter2())];
+    assert_eq!(
+        hashes,
+        [0xac66_96dc_722d_1139, 0x6df4_8f9c_5071_093b,],
+        "harness hashes moved: {hashes:x?}"
+    );
+}
+
+// --- explicit tau-leaping at large counts ---
+
+/// A dimerisation whose counts stay in the hundreds, with a slow
+/// conversion cycle: the leaper leaps for most of the span instead of
+/// falling back to exact steps.
+const TAU_NETWORK: &str = "A + B -> C @0.001\nC -> A + B @slow\nC -> D @slow\nD -> A + B @slow";
+
+const TAU_VARIANTS: [Variant; 4] = [
+    Variant::Plain,
+    Variant::Injection,
+    Variant::MaxEvents(TAU_LEAP_CUT),
+    Variant::Hook(TAU_HOOK_CUT),
+];
+
+const TAU_LEAP_CUT: usize = 700;
+const TAU_HOOK_CUT: u64 = 600;
+
+#[test]
+fn tau_leap_trajectories_match_their_golden_hashes() {
+    let crn: Crn = TAU_NETWORK.parse().expect("parses");
+    let a = crn.find_species("A").expect("A");
+    let b = crn.find_species("B").expect("B");
+    let mut init = State::new(&crn);
+    init.set(a, 1200.0).set(b, 1200.0);
+    let base = CompiledCrn::new(&crn, &SimSpec::default());
+    let mut runs = Runs::default();
+    for (variant, seed) in TAU_VARIANTS.into_iter().zip(SEEDS) {
+        let mut schedule = Schedule::new();
+        let mut compiled = base.clone();
+        if let Variant::Injection = variant {
+            schedule = schedule.inject(4.0, a, 300.0);
+            compiled = base.rebind(&SimSpec::new(
+                RateAssignment::new(1000.0, 1.5).expect("valid rates"),
+            ));
+        }
+        let lane = Lane {
+            compiled,
+            schedule,
+            seed,
+            t_end: 16.0,
+            variant,
+        };
+        let sink = Cell::new(SimMetrics::default());
+        let hook = hook_for(variant);
+        let result = Simulation::new(&crn, &lane.compiled)
+            .init(&init)
+            .schedule(&lane.schedule)
+            .options(TauLeapOptions {
+                base: options(&lane, &sink, &hook),
+                ..TauLeapOptions::default()
+            })
+            .run();
+        runs.record(&result, sink.get());
+    }
+    let report = format!("tau: {:x?}", runs.hashes);
+    assert_eq!(
+        runs.outcomes,
+        ["ok", "ok", "max_events", "hook"],
+        "{report}"
+    );
+    assert_eq!(
+        runs.hashes,
+        [
+            0x43fa_c4d8_3797_1279,
+            0xd954_4bf6_1452_e5f3,
+            0x06aa_2016_3520_7bbe,
+            0xc7a4_aa4f_658e_6b17,
+        ],
+        "tau hashes moved; {report}"
+    );
+    assert!(runs.shapes.iter().all(|&s| s == (0, 0)), "{report}");
 }
