@@ -6,6 +6,7 @@
 # Stages (all offline — the workspace vendors every dependency):
 #   1. formatting     cargo fmt --all --check
 #   2. lints          cargo clippy --workspace --all-targets, warnings are errors
+#                     (so is any use of a #[deprecated] item)
 #   3. tier-1 gate    cargo build --release && cargo test -q
 #   4. workspace      cargo test -q --workspace (every crate, incl. vendor stubs)
 #   5. benches        cargo bench --no-run (benches must keep compiling)
@@ -25,16 +26,13 @@
 #                     deterministically across worker counts
 #  10. tolerance      trend --tolerance NAME=REL must gate with the
 #                     override applied and reject malformed values
-#  11. deprecations   in-repo code must not call the deprecated pre-0.5
-#                     simulation entry points (shims exist for external
-#                     callers only)
-#  12. batch server   boot `serve` on an ephemeral port at --workers 1 and
+#  11. batch server   boot `serve` on an ephemeral port at --workers 1 and
 #                     --workers 4; `repro --via-server` must produce
 #                     byte-identical persisted summaries at both counts,
 #                     report nonzero compiled-CRN cache hits, and pass the
 #                     cancel and budget-exceeded probes; the server must
 #                     exit cleanly on the wire shutdown op
-#  13. batched ODE     repro e6 at --batch 4/--batch 8 must reproduce the
+#  12. batched ODE     repro e6 at --batch 4/--batch 8 must reproduce the
 #                     scalar run: reports byte-identical, summary labels,
 #                     statuses and deterministic counters byte-identical,
 #                     wall and batch-shape metrics tolerance-gated by
@@ -44,14 +42,14 @@
 #                     unfillable --gate-last windows (K > history length,
 #                     single-entry history) are usage errors (exit 2),
 #                     never vacuous passes
-#  14. hybrid gate     repro e14 --quick: the hybrid ODE/SSA integrator
+#  13. hybrid gate     repro e14 --quick: the hybrid ODE/SSA integrator
 #                     must reproduce the stiff clocked motif's observable
 #                     with <= 1/5 of pure SSA's exact-event count (in
 #                     practice orders of magnitude fewer), byte-identically
-#                     across worker counts; stage 12 additionally
+#                     across worker counts; stage 11 additionally
 #                     byte-compares the hybrid via-server sweep across
 #                     server worker counts
-#  15. stoch widths    stochastic cells run scalar at every batch width:
+#  14. stoch widths    stochastic cells run scalar at every batch width:
 #                     repro e10 at --batch 4 must reproduce the scalar
 #                     sweep (report byte-identical, summary CSVs
 #                     byte-identical once only the wall clock is
@@ -61,7 +59,7 @@
 #                     persisted summaries at --batch 4 must byte-match
 #                     its --batch 1 run, and an unusable or over-cap
 #                     --t-end must be a usage error
-#  16. netlist gate    every example netlist must compile and run through
+#  15. netlist gate    every example netlist must compile and run through
 #                     `repro --netlist`; the seqdet netlist's persisted
 #                     sweep summary must byte-match the hand-assembled
 #                     `--netlist-builtin seqdet` run locally and over the
@@ -69,7 +67,7 @@
 #                     byte-identical); a malformed netlist must exit 2
 #                     with its source position before anything is
 #                     submitted
-#  17. benchmark pkg   perfbench/ is a workspace of its own, so stages
+#  16. benchmark pkg   perfbench/ is a workspace of its own, so stages
 #                     1-5 never build it: fmt, clippy -D warnings and its
 #                     tests run against its manifest, and one short
 #                     ssa_panels run must pass its E10 output checks
@@ -183,16 +181,6 @@ TOL_STATUS=$?
 set -e
 [ "$TOL_STATUS" -eq 2 ] \
   || { echo "ci: malformed --tolerance not rejected (trend exited $TOL_STATUS, want 2)" >&2; exit 1; }
-
-echo "== deprecated-shim scoping =="
-# the pre-0.5 entry points (simulate_ode/ssa/nrm/tau_leap, run_cycles*,
-# respond/respond_compiled) stay available to external callers, but no
-# in-repo target may use them; cargo replays cached warnings, so a fresh
-# or cached build both surface any offender
-DEPRECATED_USES="$(cargo build --workspace --all-targets 2>&1 | grep "use of deprecated" || true)"
-[ -z "$DEPRECATED_USES" ] \
-  || { echo "ci: in-repo call sites still use deprecated APIs:" >&2
-       echo "$DEPRECATED_USES" >&2; exit 1; }
 
 echo "== batch server: worker-count determinism, cache hits, cancel + budget =="
 serve_roundtrip() { # <workers> <outdir>

@@ -7,12 +7,19 @@
 //! the kinetic interpretation (deterministic ODE or an exact stochastic
 //! method), and [`CycleResources`] carries any pre-built compiled network
 //! and integrator workspace a sweep wants to reuse across cells.
+//!
+//! A run has its answer once the last requested cycle's red plateau has
+//! closed, so the harness integrates once and stops the engine there
+//! through its stop hook ([`molseq_kinetics::StopHook`]). One plateau
+//! detector serves both that stop and [`SyncRun::from_trace`].
 
 use crate::{CompiledSystem, SyncError};
+use molseq_crn::SpeciesId;
 use molseq_kinetics::{
     run_ode_batch, BatchLane, BatchedOdeWorkspace, CompiledCrn, MetricsSink, OdeOptions,
-    OdeWorkspace, Schedule, SimError, SimMethod, SimSpec, Simulation, SsaOptions, StepHook, Trace,
+    OdeWorkspace, Schedule, SimMethod, SimSpec, Simulation, SsaOptions, StepHook, Trace,
 };
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// The ODE options of one harness pass over `[0, t_end]`: Rosenbrock at
@@ -30,12 +37,14 @@ fn harness_ode_options<'h>(t_end: f64, record_interval: f64) -> OdeOptions<'h> {
 pub struct RunConfig<'h> {
     /// Kinetic interpretation (rate assignment + jitter).
     pub spec: SimSpec,
-    /// Initial guess for the duration of one clock cycle, in simulated
-    /// time. The harness extends the simulation automatically (up to
-    /// `max_extensions` doublings) if the guess is too small.
+    /// Guess of one clock cycle's duration, in simulated time:
+    /// `cycle_time_hint × (cycles + 1)` is the first horizon, which
+    /// `max_extensions` doubles into the run's cap.
     pub cycle_time_hint: f64,
-    /// How many times the time horizon may be doubled while hunting for
-    /// the requested number of cycles.
+    /// How many doublings of the first horizon the run may use: it stops
+    /// at `cycle_time_hint × (cycles + 1) × 2^max_extensions` at the
+    /// latest, and a last requested plateau still open there is
+    /// [`SyncError::InsufficientCycles`].
     pub max_extensions: u32,
     /// Trace recording interval.
     pub record_interval: f64,
@@ -47,14 +56,11 @@ pub struct RunConfig<'h> {
     /// RNG seed (used by the stochastic methods).
     pub seed: u64,
     /// Optional cooperative interruption hook, forwarded to the
-    /// integrator (see [`molseq_kinetics::StepHook`]). The cumulative step
-    /// count restarts at every horizon-doubling retry.
+    /// integrator (see [`molseq_kinetics::StepHook`]).
     pub step_hook: Option<StepHook<'h>>,
     /// Optional metrics sink, forwarded to the integrator (see
-    /// [`molseq_kinetics::SimMetrics`]). Counters **accumulate** across
-    /// the harness's horizon-doubling retries, so the sink reports the
-    /// total work the harness spent on the cell, not just the final
-    /// successful pass.
+    /// [`molseq_kinetics::SimMetrics`]); `final_time` is where the
+    /// harness stopped.
     pub metrics: Option<MetricsSink<'h>>,
 }
 
@@ -97,9 +103,9 @@ impl PartialEq for RunConfig<'_> {
 }
 
 impl Default for RunConfig<'_> {
-    /// Paper-default rates, 12 time units per cycle as the initial guess,
-    /// up to 4 horizon doublings, deterministic stiff (Rosenbrock)
-    /// integration.
+    /// Paper-default rates, 12 time units per cycle as the guess, a cap
+    /// of 4 doublings of the first horizon, deterministic stiff
+    /// (Rosenbrock) integration.
     fn default() -> Self {
         RunConfig {
             spec: SimSpec::default(),
@@ -127,8 +133,7 @@ pub struct CycleResources<'a> {
     /// cell, drive the rebound copy.
     pub compiled: Option<&'a CompiledCrn>,
     /// Reusable integrator workspace (ODE methods), so sweeps allocate
-    /// integrator buffers once per worker instead of once per cell. Also
-    /// reused across the harness's internal horizon-doubling retries.
+    /// integrator buffers once per worker instead of once per cell.
     pub workspace: Option<&'a mut OdeWorkspace>,
 }
 
@@ -148,24 +153,22 @@ impl SyncRun {
     /// `k+1`-th interval in which the clock's (dimer-adjusted) red phase
     /// exceeds 90% of the token (the first interval is the initial rest
     /// state); register values are the per-interval maxima of their
-    /// dimer-adjusted stored quantity.
+    /// dimer-adjusted stored quantity. This reads fixed-horizon traces,
+    /// so an interval still open at the last sample counts, cut off
+    /// there; [`drive_cycles`] counts only closed ones.
     #[must_use]
     pub fn from_trace(system: &CompiledSystem, trace: Trace) -> Self {
-        let clock = system.clock();
-        let threshold = 0.9 * clock.token;
-        let red_terms = crate::stored_value_terms(system.crn(), clock.red);
-        let red_series: Vec<f64> = (0..trace.len())
-            .map(|i| {
-                red_terms
-                    .iter()
-                    .map(|&(s, w)| w * trace.state(i)[s.index()])
-                    .sum()
-            })
-            .collect();
-        let mut intervals = high_intervals(trace.times(), &red_series, threshold);
+        let mut plateaus = Plateaus::new(system);
+        plateaus.read(&trace);
+        let mut intervals = plateaus.cut_off_at(trace.times().last().copied());
         if !intervals.is_empty() {
             intervals.remove(0);
         }
+        SyncRun::over(system, trace, &intervals)
+    }
+
+    /// Reads every register over `intervals`, one red plateau per cycle.
+    fn over(system: &CompiledSystem, trace: Trace, intervals: &[(f64, f64)]) -> Self {
         let sample_times: Vec<f64> = intervals.iter().map(|(a, b)| 0.5 * (a + b)).collect();
         let mut registers = HashMap::new();
         for name in system.register_names() {
@@ -199,7 +202,8 @@ impl SyncRun {
         }
     }
 
-    /// The full simulation trace.
+    /// The full simulation trace. A [`drive_cycles`] run ends it just
+    /// after the last requested cycle's red plateau closes.
     #[must_use]
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -244,31 +248,111 @@ impl SyncRun {
     }
 }
 
-/// Intervals during which `series` stays above `threshold`, as
-/// `(enter, exit)` pairs (the final interval may be cut off by the end of
-/// the trace).
-fn high_intervals(times: &[f64], series: &[f64], threshold: f64) -> Vec<(f64, f64)> {
-    let mut intervals = Vec::new();
-    let mut enter: Option<f64> = None;
-    for i in 0..times.len() {
-        let high = series[i] > threshold;
-        match (high, enter) {
-            (true, None) => enter = Some(times[i]),
-            (false, Some(start)) => {
-                intervals.push((start, times[i]));
-                enter = None;
+/// The clock's red plateaus, found one recorded sample at a time. A
+/// plateau opens at the first sample whose dimer-weighted red sum exceeds
+/// 90 % of the token and closes at the next sample at or below it, its
+/// exit sample. [`SyncRun::from_trace`] reads a finished trace through
+/// it; the harness reads each run's trace as it grows and stops the run
+/// once the last requested plateau has closed.
+struct Plateaus {
+    /// The `(species, weight)` terms of the red phase's stored value.
+    red: Vec<(SpeciesId, f64)>,
+    threshold: f64,
+    /// Samples read so far.
+    read: usize,
+    /// Entry time of the plateau still open, if any.
+    open: Option<f64>,
+    /// Closed plateaus as `(entry, exit)` sample times.
+    closed: Vec<(f64, f64)>,
+}
+
+impl Plateaus {
+    fn new(system: &CompiledSystem) -> Self {
+        let clock = system.clock();
+        Plateaus::with_terms(
+            crate::stored_value_terms(system.crn(), clock.red),
+            0.9 * clock.token,
+        )
+    }
+
+    fn with_terms(red: Vec<(SpeciesId, f64)>, threshold: f64) -> Self {
+        Plateaus {
+            red,
+            threshold,
+            read: 0,
+            open: None,
+            closed: Vec::new(),
+        }
+    }
+
+    /// Reads the samples `trace` recorded since the last call.
+    fn read(&mut self, trace: &Trace) {
+        for i in self.read..trace.len() {
+            let state = trace.state(i);
+            let red: f64 = self.red.iter().map(|&(s, w)| w * state[s.index()]).sum();
+            self.sample(trace.times()[i], red);
+        }
+        self.read = trace.len();
+    }
+
+    fn sample(&mut self, time: f64, red: f64) {
+        let high = red > self.threshold;
+        match (high, self.open) {
+            (true, None) => self.open = Some(time),
+            (false, Some(entry)) => {
+                self.closed.push((entry, time));
+                self.open = None;
             }
             _ => {}
         }
     }
-    if let Some(start) = enter {
-        if let Some(&last) = times.last() {
-            if last > start {
-                intervals.push((start, last));
+
+    /// Reads the new samples of `trace` and reports whether `cycles`
+    /// plateaus have closed after the rest state: the harness's stop.
+    fn closes(&mut self, trace: &Trace, cycles: usize) -> bool {
+        self.read(trace);
+        self.closed.len() > cycles
+    }
+
+    /// The plateaus of a trace whose last sample is at `last`: the closed
+    /// ones, then one still open there, cut off at `last`, if it spans
+    /// more than one sample.
+    fn cut_off_at(mut self, last: Option<f64>) -> Vec<(f64, f64)> {
+        if let (Some(entry), Some(last)) = (self.open, last) {
+            if last > entry {
+                self.closed.push((entry, last));
             }
         }
+        self.closed
     }
-    intervals
+}
+
+/// The latest time a harness run may reach: the first horizon
+/// `hint × (cycles + 1)`, doubled `max_extensions` times.
+fn horizon_cap(config: &RunConfig, cycles: usize) -> f64 {
+    let doublings = i32::try_from(config.max_extensions).unwrap_or(i32::MAX);
+    config.cycle_time_hint * (cycles as f64 + 1.0) * 2f64.powi(doublings)
+}
+
+/// The run of a finished harness trace: its first `cycles` plateaus after
+/// the rest state, all of which must have closed.
+fn counted_run(
+    system: &CompiledSystem,
+    trace: Trace,
+    plateaus: &RefCell<Plateaus>,
+    cycles: usize,
+) -> Result<SyncRun, SyncError> {
+    let mut plateaus = plateaus.borrow_mut();
+    // the final sample is pushed after the last poll of the stop
+    plateaus.read(&trace);
+    let closed = &plateaus.closed;
+    if closed.len() <= cycles {
+        return Err(SyncError::InsufficientCycles {
+            requested: cycles,
+            found: closed.len().saturating_sub(1),
+        });
+    }
+    Ok(SyncRun::over(system, trace, &closed[1..=cycles]))
 }
 
 /// Drives `system` until `cycles` clock cycles have completed, injecting
@@ -276,16 +360,21 @@ fn high_intervals(times: &[f64], series: &[f64], threshold: f64) -> Vec<(f64, f6
 /// kinetic interpretation; `resources` optionally carries a pre-built
 /// compiled network and a reusable integrator workspace.
 ///
-/// Cycle boundaries and register values are extracted with
+/// Cycle boundaries and register values are read as in
 /// [`SyncRun::from_trace`]: registers are read as the maximum of their
 /// dimer-adjusted stored value over each clock-red plateau. The initial
 /// all-red rest state (before the first rotation) is **not** counted as a
-/// cycle.
+/// cycle. The harness integrates once and stops the engine at the close
+/// of the `cycles`-th plateau after the rest state, or at the cap set by
+/// [`RunConfig::cycle_time_hint`] and [`RunConfig::max_extensions`].
+/// Every step before the stop is the step a run to the cap would take.
 ///
 /// # Errors
 ///
 /// * [`SyncError::UnknownPort`] for an unknown input name.
 /// * [`SyncError::InvalidAmount`] if `cycles` is zero.
+/// * [`SyncError::InsufficientCycles`] if the last requested plateau has
+///   not closed by the cap.
 /// * Simulation errors are wrapped in [`SyncError::Simulation`].
 ///
 /// # Panics
@@ -328,67 +417,36 @@ pub fn drive_cycles(
     }
 
     let init = system.initial_state();
-
-    let mut t_end = config.cycle_time_hint * (cycles as f64 + 1.0);
-    let mut last_err: Option<SimError> = None;
-    let mut best_found = 0usize;
-    for _ in 0..=config.max_extensions {
-        let mut sim = Simulation::new(system.crn(), compiled)
-            .init(&init)
-            .schedule(&schedule)
-            .workspace(&mut *workspace);
-        match config.sim {
-            SimMethod::Ode => {
-                sim = sim.options(harness_ode_options(t_end, config.record_interval));
-            }
-            _ => {
-                sim = sim.method(config.sim).options(
-                    SsaOptions::default()
-                        .with_t_end(t_end)
-                        .with_record_interval(config.record_interval)
-                        .with_seed(config.seed),
-                );
-            }
+    let plateaus = RefCell::new(Plateaus::new(system));
+    let stop = |trace: &Trace| plateaus.borrow_mut().closes(trace, cycles);
+    let t_cap = horizon_cap(config, cycles);
+    let mut sim = Simulation::new(system.crn(), compiled)
+        .init(&init)
+        .schedule(&schedule)
+        .workspace(workspace);
+    match config.sim {
+        SimMethod::Ode => {
+            sim = sim
+                .options(harness_ode_options(t_cap, config.record_interval).with_stop_hook(&stop));
         }
-        if let Some(hook) = config.step_hook {
-            sim = sim.step_hook(hook);
+        _ => {
+            sim = sim.method(config.sim).options(
+                SsaOptions::default()
+                    .with_t_end(t_cap)
+                    .with_record_interval(config.record_interval)
+                    .with_seed(config.seed)
+                    .with_stop_hook(&stop),
+            );
         }
-        if let Some(sink) = config.metrics {
-            sim = sim.metrics(sink);
-        }
-        let trace = match sim.run() {
-            Ok(t) => t,
-            Err(e @ SimError::Interrupted { .. }) => {
-                // a cooperative budget fired: retrying on a doubled
-                // horizon would be interrupted again immediately
-                return Err(SyncError::Simulation(e));
-            }
-            Err(e) => {
-                last_err = Some(e);
-                t_end *= 2.0;
-                continue;
-            }
-        };
-
-        let run = SyncRun::from_trace(system, trace);
-        if run.cycles() >= cycles {
-            let mut run = run;
-            run.sample_times.truncate(cycles);
-            for series in run.registers.values_mut() {
-                series.truncate(cycles);
-            }
-            return Ok(run);
-        }
-        best_found = best_found.max(run.cycles());
-        t_end *= 2.0;
     }
-    Err(last_err.map_or(
-        SyncError::InsufficientCycles {
-            requested: cycles,
-            found: best_found,
-        },
-        SyncError::Simulation,
-    ))
+    if let Some(hook) = config.step_hook {
+        sim = sim.step_hook(hook);
+    }
+    if let Some(sink) = config.metrics {
+        sim = sim.metrics(sink);
+    }
+    let trace = sim.run().map_err(SyncError::Simulation)?;
+    counted_run(system, trace, &plateaus, cycles)
 }
 
 /// One cell of a [`drive_cycles_batch`] call: a rate-bound compiled copy
@@ -410,13 +468,11 @@ pub struct BatchCell<'a, 'h> {
 /// symbolic factorization, all cells advancing together, each lane
 /// bit-identical to a solo [`drive_cycles`] call with the same
 /// configuration. Inputs, the cycle count and the initial state are
-/// shared; rates, hooks, sinks and extension policies are per cell.
+/// shared; rates, hooks, sinks and horizon caps are per cell.
 ///
-/// Each cell keeps the scalar harness's horizon-doubling behaviour
-/// independently: a cell that comes up short of `cycles` retries on a
-/// doubled span (up to its own `max_extensions`) in the next batched
-/// round together with every other still-unfinished cell, so stragglers
-/// re-batch with each other rather than serializing.
+/// One batched pass serves every cell: each lane stops at the close of
+/// its own last requested plateau (or at its own cap) and retires, while
+/// the others carry on.
 ///
 /// # Errors
 ///
@@ -452,97 +508,43 @@ pub fn drive_cycles_batch(
     }
     let init = system.initial_state();
 
-    struct CellProgress {
-        t_end: f64,
-        attempts_left: u32,
-        last_err: Option<SimError>,
-        best_found: usize,
-        done: Option<Result<SyncRun, SyncError>>,
-    }
-    let mut progress: Vec<CellProgress> = cells
+    let plateaus: Vec<RefCell<Plateaus>> = cells
         .iter()
-        .map(|cell| CellProgress {
-            t_end: cell.config.cycle_time_hint * (cycles as f64 + 1.0),
-            attempts_left: cell.config.max_extensions + 1,
-            last_err: None,
-            best_found: 0,
-            done: None,
+        .map(|_| RefCell::new(Plateaus::new(system)))
+        .collect();
+    let stops: Vec<_> = plateaus
+        .iter()
+        .map(|p| move |trace: &Trace| p.borrow_mut().closes(trace, cycles))
+        .collect();
+    let lanes: Vec<BatchLane> = cells
+        .iter()
+        .zip(&stops)
+        .map(|(cell, stop)| {
+            let config = &cell.config;
+            let mut options =
+                harness_ode_options(horizon_cap(config, cycles), config.record_interval)
+                    .with_stop_hook(stop);
+            if let Some(hook) = config.step_hook {
+                options = options.with_step_hook(hook);
+            }
+            if let Some(sink) = config.metrics {
+                options = options.with_metrics(sink);
+            }
+            BatchLane {
+                compiled: cell.compiled,
+                init: &init,
+                schedule: &schedule,
+                options,
+            }
         })
         .collect();
-
-    loop {
-        let active: Vec<usize> = progress
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.done.is_none() && p.attempts_left > 0)
-            .map(|(i, _)| i)
-            .collect();
-        if active.is_empty() {
-            break;
-        }
-        let lanes: Vec<BatchLane> = active
-            .iter()
-            .map(|&i| {
-                let config = &cells[i].config;
-                let mut options = harness_ode_options(progress[i].t_end, config.record_interval);
-                if let Some(hook) = config.step_hook {
-                    options = options.with_step_hook(hook);
-                }
-                if let Some(sink) = config.metrics {
-                    options = options.with_metrics(sink);
-                }
-                BatchLane {
-                    compiled: cells[i].compiled,
-                    init: &init,
-                    schedule: &schedule,
-                    options,
-                }
-            })
-            .collect();
-        let results = run_ode_batch(system.crn(), &lanes, workspace);
-        for (&i, result) in active.iter().zip(results) {
-            let p = &mut progress[i];
-            p.attempts_left -= 1;
-            match result {
-                Ok(trace) => {
-                    let run = SyncRun::from_trace(system, trace);
-                    if run.cycles() >= cycles {
-                        let mut run = run;
-                        run.sample_times.truncate(cycles);
-                        for series in run.registers.values_mut() {
-                            series.truncate(cycles);
-                        }
-                        p.done = Some(Ok(run));
-                    } else {
-                        p.best_found = p.best_found.max(run.cycles());
-                        p.t_end *= 2.0;
-                    }
-                }
-                Err(e @ SimError::Interrupted { .. }) => {
-                    // a cooperative budget fired: retrying on a doubled
-                    // horizon would be interrupted again immediately
-                    p.done = Some(Err(SyncError::Simulation(e)));
-                }
-                Err(e) => {
-                    p.last_err = Some(e);
-                    p.t_end *= 2.0;
-                }
-            }
-        }
-    }
-
-    Ok(progress
+    let results = run_ode_batch(system.crn(), &lanes, workspace);
+    Ok(results
         .into_iter()
-        .map(|p| {
-            p.done.unwrap_or_else(|| {
-                Err(p.last_err.map_or(
-                    SyncError::InsufficientCycles {
-                        requested: cycles,
-                        found: p.best_found,
-                    },
-                    SyncError::Simulation,
-                ))
-            })
+        .zip(&plateaus)
+        .map(|(result, p)| {
+            let trace = result.map_err(SyncError::Simulation)?;
+            counted_run(system, trace, p, cycles)
         })
         .collect())
 }
@@ -552,19 +554,93 @@ mod tests {
     use super::*;
     use crate::{ClockSpec, SyncCircuit};
 
+    use proptest::prelude::*;
+
+    /// The plateaus `Plateaus` finds in a bare `(times, series)` pair,
+    /// cut off at the last sample as `SyncRun::from_trace` does.
+    fn plateaus_of(times: &[f64], series: &[f64], threshold: f64) -> Vec<(f64, f64)> {
+        let mut plateaus = Plateaus::with_terms(Vec::new(), threshold);
+        for (&t, &v) in times.iter().zip(series) {
+            plateaus.sample(t, v);
+        }
+        plateaus.cut_off_at(times.last().copied())
+    }
+
+    /// The whole-series detector the incremental one replaced, kept as
+    /// its reference.
+    fn high_intervals(times: &[f64], series: &[f64], threshold: f64) -> Vec<(f64, f64)> {
+        let mut intervals = Vec::new();
+        let mut enter: Option<f64> = None;
+        for i in 0..times.len() {
+            let high = series[i] > threshold;
+            match (high, enter) {
+                (true, None) => enter = Some(times[i]),
+                (false, Some(start)) => {
+                    intervals.push((start, times[i]));
+                    enter = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(start) = enter {
+            if let Some(&last) = times.last() {
+                if last > start {
+                    intervals.push((start, last));
+                }
+            }
+        }
+        intervals
+    }
+
     #[test]
-    fn high_intervals_finds_plateaus() {
+    fn plateaus_are_found_and_cut_off_at_the_end() {
         let times = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
         let series = [100.0, 100.0, 0.0, 0.0, 100.0, 100.0];
-        let iv = high_intervals(&times, &series, 90.0);
+        let iv = plateaus_of(&times, &series, 90.0);
         assert_eq!(iv, vec![(0.0, 2.0), (4.0, 5.0)]);
     }
 
     #[test]
-    fn high_intervals_empty_for_flat_low() {
+    fn no_plateaus_in_a_flat_low_series() {
         let times = [0.0, 1.0];
         let series = [0.0, 0.0];
-        assert!(high_intervals(&times, &series, 90.0).is_empty());
+        assert!(plateaus_of(&times, &series, 90.0).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 64,
+            failure_persistence: None,
+            ..ProptestConfig::default()
+        })]
+
+        /// Sample by sample, the detector finds exactly the intervals the
+        /// whole-series scan found, also in series that end high.
+        #[test]
+        fn incremental_plateaus_match_the_whole_series_scan(
+            steps in proptest::collection::vec(0u32..4, 1..40),
+            levels in proptest::collection::vec(0u32..3, 1..40),
+            end_high in 0u32..2,
+        ) {
+            let n = steps.len().min(levels.len());
+            let mut times = Vec::with_capacity(n);
+            let mut t = 0.0;
+            for &dt in &steps[..n] {
+                // repeated times happen where triggers push a sample
+                t += f64::from(dt) * 0.5;
+                times.push(t);
+            }
+            // 0 is low, 1 sits on the threshold (low), 2 is high
+            let mut series: Vec<f64> =
+                levels[..n].iter().map(|&v| 45.0 * f64::from(v)).collect();
+            if end_high == 1 {
+                *series.last_mut().expect("nonempty") = 90.0;
+            }
+            prop_assert_eq!(
+                plateaus_of(&times, &series, 45.0),
+                high_intervals(&times, &series, 45.0)
+            );
+        }
     }
 
     #[test]
@@ -631,10 +707,16 @@ mod tests {
                 y_series[k + 1]
             );
         }
+        // the SSA run stopped at the third plateau's close, before the
+        // first horizon of 12 × (3 + 1)
+        let t_last = *run.trace().times().last().unwrap();
+        assert!(t_last < 48.0, "stopped at {t_last}");
     }
 
     /// The batched harness reproduces solo scalar runs bit for bit: same
-    /// sample times, same register series, per rate binding.
+    /// sample times, same register series, same trace, stop time and step
+    /// counts, per rate binding, although its lanes stop at different
+    /// times.
     #[test]
     fn batched_harness_matches_scalar_bitwise() {
         use molseq_kinetics::SimSpec;
@@ -652,21 +734,34 @@ mod tests {
             .iter()
             .map(|&r| base.rebind(&SimSpec::new(molseq_crn::RateAssignment::from_ratio(r))))
             .collect();
+        let sinks: Vec<_> = ratios
+            .iter()
+            .map(|_| std::cell::Cell::new(molseq_kinetics::SimMetrics::default()))
+            .collect();
         let cells: Vec<BatchCell> = compiled
             .iter()
-            .map(|c| BatchCell {
+            .zip(&sinks)
+            .map(|(c, sink)| BatchCell {
                 compiled: c,
-                config: RunConfig::default(),
+                config: RunConfig {
+                    metrics: Some(sink),
+                    ..RunConfig::default()
+                },
             })
             .collect();
         let mut ws = BatchedOdeWorkspace::new();
         let batched = drive_cycles_batch(&sys, &inputs, 3, &cells, &mut ws).unwrap();
-        for (c, result) in compiled.iter().zip(batched) {
+        let mut stops = Vec::new();
+        for ((c, result), sink) in compiled.iter().zip(batched).zip(&sinks) {
+            let scalar_sink = std::cell::Cell::new(molseq_kinetics::SimMetrics::default());
             let scalar = drive_cycles(
                 &sys,
                 &inputs,
                 3,
-                &RunConfig::default(),
+                &RunConfig {
+                    metrics: Some(&scalar_sink),
+                    ..RunConfig::default()
+                },
                 CycleResources {
                     compiled: Some(c),
                     workspace: None,
@@ -674,6 +769,14 @@ mod tests {
             )
             .unwrap();
             let run = result.unwrap();
+            let (lane, solo) = (sink.get(), scalar_sink.get());
+            assert_eq!(run.trace().len(), scalar.trace().len());
+            assert_eq!(run.trace(), scalar.trace());
+            assert_eq!(lane.final_time.to_bits(), solo.final_time.to_bits());
+            assert_eq!(lane.ode_steps_accepted, solo.ode_steps_accepted);
+            assert_eq!(lane.ode_steps_rejected, solo.ode_steps_rejected);
+            assert_eq!(lane.lu_factorizations, solo.lu_factorizations);
+            stops.push(lane.final_time);
             assert_eq!(scalar.sample_times(), run.sample_times());
             for name in sys.register_names() {
                 assert_eq!(
@@ -683,6 +786,97 @@ mod tests {
                 );
             }
         }
+        assert!(
+            stops.windows(2).any(|w| w[0] != w[1]),
+            "lanes stop at their own plateaus: {stops:?}"
+        );
+    }
+
+    /// An engine error comes back from the harness's one pass: a compiled
+    /// network of another system fails before any work, on a horizon
+    /// that is never doubled.
+    #[test]
+    fn engine_errors_come_back_from_the_single_pass() {
+        let mut c = SyncCircuit::new(ClockSpec::default());
+        let x = c.input("x");
+        c.output("y", x);
+        let sys = c.compile().unwrap();
+        let mut other = SyncCircuit::new(ClockSpec::default());
+        let a = other.input("a");
+        let d = other.delay("d", a);
+        other.output("b", d);
+        let other = other.compile().unwrap();
+        let foreign = CompiledCrn::new(other.crn(), &molseq_kinetics::SimSpec::default());
+        let sink = std::cell::Cell::new(molseq_kinetics::SimMetrics::default());
+        let config = RunConfig {
+            metrics: Some(&sink),
+            ..RunConfig::default()
+        };
+        let err = drive_cycles(
+            &sys,
+            &[],
+            2,
+            &config,
+            CycleResources {
+                compiled: Some(&foreign),
+                workspace: None,
+            },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SyncError::Simulation(molseq_kinetics::SimError::DimensionMismatch { .. })
+            ),
+            "{err:?}"
+        );
+        assert_eq!(sink.get(), molseq_kinetics::SimMetrics::default());
+
+        let own = CompiledCrn::new(sys.crn(), &molseq_kinetics::SimSpec::default());
+        let cells = [
+            BatchCell {
+                compiled: &foreign,
+                config: RunConfig::default(),
+            },
+            BatchCell {
+                compiled: &own,
+                config: RunConfig::default(),
+            },
+        ];
+        let runs = drive_cycles_batch(&sys, &[], 2, &cells, &mut BatchedOdeWorkspace::new())
+            .expect("shared setup");
+        assert!(matches!(
+            runs[0],
+            Err(SyncError::Simulation(
+                molseq_kinetics::SimError::DimensionMismatch { .. }
+            ))
+        ));
+        assert_eq!(runs[1].as_ref().expect("the other lane runs").cycles(), 2);
+    }
+
+    /// A last plateau still open at the cap is not a cycle.
+    #[test]
+    fn an_open_plateau_at_the_cap_is_insufficient() {
+        let mut c = SyncCircuit::new(ClockSpec::default());
+        let x = c.input("x");
+        c.output("y", x);
+        let sys = c.compile().unwrap();
+        let config = RunConfig {
+            cycle_time_hint: 1.0,
+            max_extensions: 0,
+            ..RunConfig::default()
+        };
+        let err = drive_cycles(&sys, &[], 3, &config, CycleResources::default()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SyncError::InsufficientCycles {
+                    requested: 3,
+                    found: 0
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //! key and metrics; everywhere the scalar code path has a data-dependent
 //! skip (zero flux, zero Jacobian partial, zero multiplier, cached
 //! factorization), the batched kernels use a per-lane select of the same
-//! condition, preserving even `-0.0` signs. Lanes that finish, fail, or
-//! get budget-cut *retire*: their state is zeroed (keeping the unmasked
-//! full-width arithmetic finite) and they stop contributing bookkeeping,
-//! while surviving lanes continue unperturbed.
+//! condition, preserving even `-0.0` signs. Lanes that finish (at
+//! `t_end` or on their stop hook), fail, or get budget-cut *retire*:
+//! their state is zeroed (keeping the unmasked full-width arithmetic
+//! finite) and they stop contributing bookkeeping, while surviving lanes
+//! continue unperturbed.
 
 use crate::compiled::CompiledCrn;
 use crate::events::{Injection, TriggerRuntime};
@@ -57,9 +58,8 @@ pub struct BatchLane<'a, 'h> {
 
 /// Reusable storage for [`run_ode_batch`]: the shared symbolic
 /// factorization plus every structure-of-arrays buffer, sized lazily per
-/// call and reused across calls (harness retries, consecutive sweep
-/// batches over the same network structure pay no re-analysis and no
-/// re-allocation).
+/// call and reused across calls (consecutive sweep batches over the same
+/// network structure pay no re-analysis and no re-allocation).
 #[derive(Default)]
 pub struct BatchedOdeWorkspace {
     sym: Option<Symbolic>,
@@ -300,6 +300,21 @@ fn retire_lane(
     }
 }
 
+/// Ends a lane successfully at its current time, at `t_end` or on its
+/// stop hook: flushes and retires it, then pushes its final sample.
+fn complete_lane(
+    st: &mut LaneState,
+    x: &mut [f64],
+    lane_buf: &mut [f64],
+    wd: usize,
+    l: usize,
+    retired: &mut u64,
+) {
+    extract_lane(x, lane_buf, wd, l);
+    retire_lane(st, Ok(()), x, wd, l, retired);
+    st.trace.push(st.t, lane_buf);
+}
+
 /// Replays the scalar driver's between-steps bookkeeping for one lane
 /// until it is either ready to attempt a step (returns `true`) or done
 /// (completed, step-limited — returns `false` with `st.done` set).
@@ -363,10 +378,7 @@ fn advance_to_attempt(
             }
             continue;
         }
-        // span complete: flush, push the final sample, succeed
-        extract_lane(x, lane_buf, wd, l);
-        retire_lane(st, Ok(()), x, wd, l, retired);
-        st.trace.push(st.t, lane_buf);
+        complete_lane(st, x, lane_buf, wd, l, retired);
         return false;
     }
 }
@@ -746,6 +758,9 @@ pub fn run_ode_batch<'h>(
                 // queue injections may have jumped the state
                 st.jac_fresh = false;
             }
+            if st.opts.stop_hook().is_some_and(|stop| stop(&st.trace)) {
+                complete_lane(st, x, lane_buf, wd, l, &mut retired);
+            }
         }
     }
 
@@ -1001,6 +1016,50 @@ mod tests {
         let m = sink.get();
         assert_eq!(m.batch_width, 3);
         assert_eq!(m.lanes_retired, 1 + 2);
+    }
+
+    /// A lane whose stop hook fires retires `Ok` at its own time and
+    /// matches its solo scalar run with the same stop; the other lanes
+    /// run on to `t_end` unperturbed.
+    #[test]
+    fn a_stopped_lane_retires_and_leaves_the_rest_bit_identical() {
+        let crn: Crn = "X -> 2X @slow\n2X -> X @fast".parse().unwrap();
+        let xs = crn.find_species("X").unwrap();
+        let mut init = State::new(&crn);
+        init.set(xs, 1.0);
+        let base = CompiledCrn::new(&crn, &SimSpec::default());
+        let compiled: Vec<CompiledCrn> = [50.0, 500.0, 5000.0]
+            .iter()
+            .map(|&r| base.rebind(&SimSpec::new(RateAssignment::from_ratio(r))))
+            .collect();
+        let schedule = Schedule::new();
+        let opts = lane_opts(6.0);
+        let stop = |trace: &Trace| trace.len() > 20;
+        let stop_opts = opts.with_stop_hook(&stop);
+        let sinks: Vec<Cell<SimMetrics>> =
+            (0..3).map(|_| Cell::new(SimMetrics::default())).collect();
+        let lanes: Vec<BatchLane> = compiled
+            .iter()
+            .enumerate()
+            .map(|(i, c)| BatchLane {
+                compiled: c,
+                init: &init,
+                schedule: &schedule,
+                options: if i == 1 { stop_opts } else { opts }.with_metrics(&sinks[i]),
+            })
+            .collect();
+        let results = run_ode_batch(&crn, &lanes, &mut BatchedOdeWorkspace::new());
+        for (i, (c, r)) in compiled.iter().zip(results).enumerate() {
+            let solo = if i == 1 { stop_opts } else { opts };
+            let scalar = scalar_trace(&crn, c, &init, &schedule, &solo).unwrap();
+            assert_eq!(scalar, r.unwrap(), "lane {i}");
+        }
+        let m: Vec<SimMetrics> = sinks.iter().map(Cell::get).collect();
+        assert!(m[1].final_time < m[0].final_time, "{m:?}");
+        // each lane retired once, the stopped one among them
+        let mut order: Vec<u64> = m.iter().map(|m| m.lanes_retired).collect();
+        order.sort_unstable();
+        assert_eq!(order, [0, 1, 2]);
     }
 
     #[test]

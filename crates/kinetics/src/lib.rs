@@ -80,7 +80,7 @@ pub use error::SimError;
 pub use events::{Condition, Injection, Schedule, Trigger, TriggerAction};
 pub use hybrid::{HybridOptions, DEFAULT_DISCRETENESS_THRESHOLD};
 pub use metrics::{MetricsSink, SimMetrics};
-pub use ode::{simulate_until_quiescent, OdeOptions, OdeWorkspace, StepHook};
+pub use ode::{simulate_until_quiescent, OdeOptions, OdeWorkspace, StepHook, StopHook};
 pub use plot::{downsample, render_species, sparkline};
 pub use replicate::Replicator;
 pub use sim::{SimMethod, SimOptions, Simulation};

@@ -10,8 +10,8 @@
 //!
 //! The sink is a `&Cell<SimMetrics>` rather than a `&mut` reference so the
 //! same options value (which is `Copy` and may be cloned into several
-//! simulation calls, e.g. the chunked quiescence driver or the harness's
-//! horizon-doubling retries) can keep appending to one accumulator:
+//! simulation calls, e.g. the chunked quiescence driver) can keep
+//! appending to one accumulator:
 //! integrators *absorb* their counters into the sink on every exit path,
 //! successful or not, rather than overwriting it.
 
@@ -87,7 +87,7 @@ pub struct SimMetrics {
     /// For a cell run through a batched engine: how many sibling lanes of
     /// its batch had already retired (finished or failed) when this
     /// cell's lane retired. Cumulative across runs, like the step
-    /// counters, so harness retries show the total retirement churn.
+    /// counters.
     pub lanes_retired: u64,
     /// Discrete reaction events fired on the slow (SSA) side of the hybrid
     /// engine. Each is also counted into `ssa_events`, so event totals

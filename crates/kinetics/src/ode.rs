@@ -31,6 +31,21 @@ use std::ops::ControlFlow;
 /// mid-integration instead of only between cells.
 pub type StepHook<'h> = &'h dyn Fn(u64, f64) -> ControlFlow<String>;
 
+/// A clean stop, polled after every accepted integrator step (or fired
+/// stochastic event) once that step's samples and trigger marks are in
+/// the trace. Returning `true` ends the run `Ok` exactly as reaching
+/// `t_end` does: the final state is pushed, the metrics are flushed with
+/// the stop time, and a batched lane retires. Unlike a [`StepHook`]
+/// break it is not an error.
+///
+/// The predicate reads the recorded samples, not the step-end state a
+/// [`crate::Trigger`] sees, so a stop decided on samples leaves every
+/// sample before it where a run to `t_end` would have put it. The cycle
+/// harness uses it to end a run when the last requested clock plateau
+/// closes. The ODE engines and the exact SSA poll it; the tau-leapers
+/// and the hybrid engine do not.
+pub type StopHook<'h> = &'h dyn Fn(&Trace) -> bool;
+
 /// Options controlling one deterministic run.
 ///
 /// # Examples
@@ -54,6 +69,7 @@ pub struct OdeOptions<'h> {
     h_max: f64,
     max_steps: usize,
     step_hook: Option<StepHook<'h>>,
+    stop_hook: Option<StopHook<'h>>,
     metrics: Option<MetricsSink<'h>>,
 }
 
@@ -68,6 +84,7 @@ impl std::fmt::Debug for OdeOptions<'_> {
             .field("h_max", &self.h_max)
             .field("max_steps", &self.max_steps)
             .field("step_hook", &self.step_hook.map(|_| "<hook>"))
+            .field("stop_hook", &self.stop_hook.map(|_| "<stop>"))
             .field("metrics", &self.metrics.map(|_| "<sink>"))
             .finish()
     }
@@ -83,15 +100,16 @@ impl PartialEq for OdeOptions<'_> {
             && self.h_max == other.h_max
             && self.max_steps == other.max_steps
             && hooks_eq(self.step_hook, other.step_hook)
+            && hooks_eq(self.stop_hook, other.stop_hook)
             && sinks_eq(self.metrics, other.metrics)
     }
 }
 
 /// Hooks compare by identity (same closure object), not behavior.
-pub(crate) fn hooks_eq(a: Option<StepHook<'_>>, b: Option<StepHook<'_>>) -> bool {
+pub(crate) fn hooks_eq<T: ?Sized>(a: Option<&T>, b: Option<&T>) -> bool {
     match (a, b) {
         (None, None) => true,
-        (Some(a), Some(b)) => std::ptr::eq(a as *const _ as *const (), b as *const _ as *const ()),
+        (Some(a), Some(b)) => std::ptr::eq(a as *const T as *const (), b as *const T as *const ()),
         _ => false,
     }
 }
@@ -109,6 +127,7 @@ impl Default for OdeOptions<'_> {
             h_max: 0.25,
             max_steps: 20_000_000,
             step_hook: None,
+            stop_hook: None,
             metrics: None,
         }
     }
@@ -170,6 +189,14 @@ impl<'h> OdeOptions<'h> {
         self
     }
 
+    /// Installs a clean stop (builder style), polled after every
+    /// accepted step with the trace recorded so far. See [`StopHook`].
+    #[must_use]
+    pub fn with_stop_hook(mut self, stop: StopHook<'h>) -> Self {
+        self.stop_hook = Some(stop);
+        self
+    }
+
     /// Installs a metrics sink (builder style). On every exit path —
     /// success or error — the integrator absorbs its work counters
     /// (accepted/rejected steps, LU factorizations, final time) into the
@@ -212,6 +239,10 @@ impl<'h> OdeOptions<'h> {
 
     pub(crate) fn step_hook(&self) -> Option<StepHook<'h>> {
         self.step_hook
+    }
+
+    pub(crate) fn stop_hook(&self) -> Option<StopHook<'h>> {
+        self.stop_hook
     }
 
     pub(crate) fn metrics_sink(&self) -> Option<MetricsSink<'h>> {
@@ -330,7 +361,7 @@ pub(crate) fn run_ode(
             .map_or(opts.t_end, |inj| inj.time.clamp(opts.t_start, opts.t_end));
 
         if segment_end > t {
-            if let Err(e) = integrate_segment(
+            match integrate_segment(
                 compiled,
                 workspace,
                 &mut t,
@@ -344,8 +375,12 @@ pub(crate) fn run_ode(
                 &mut triggers,
                 &mut metrics,
             ) {
-                failure = Some(e);
-                break;
+                Ok(Segment::Reached) => {}
+                Ok(Segment::Stopped) => break,
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
             }
         }
 
@@ -392,8 +427,13 @@ pub(crate) fn run_ode(
 /// Expected number of recorded samples, used to preallocate the trace:
 /// one per recording interval plus one per injection plus the endpoints.
 /// Trigger firings add a few more; the estimate is a capacity hint, not a
-/// bound, and is capped so absurd intervals cannot over-reserve.
+/// bound, and is capped so absurd intervals cannot over-reserve. A run
+/// with a [`StopHook`] may end anywhere in its span, so its trace grows
+/// with what it records instead.
 pub(crate) fn expected_records(opts: &OdeOptions, schedule: &Schedule) -> usize {
+    if opts.stop_hook.is_some() {
+        return 0;
+    }
     let span = opts.t_end - opts.t_start;
     let regular = if opts.record_interval.is_finite() && opts.record_interval > 0.0 {
         (span / opts.record_interval).ceil() as usize
@@ -415,8 +455,9 @@ pub(crate) fn expected_records(opts: &OdeOptions, schedule: &Schedule) -> usize 
 ///
 /// # Panics
 ///
-/// Panics if the schedule contains triggers — trigger state cannot be
-/// carried across the internal integration chunks; use the
+/// Panics if the schedule contains triggers or the options a
+/// [`StopHook`] — neither trigger state nor a stop's view of the trace
+/// can be carried across the internal integration chunks; use the
 /// [`crate::Simulation`] builder for event-driven runs.
 ///
 /// # Errors
@@ -456,8 +497,8 @@ pub fn simulate_until_quiescent(
     eps: f64,
 ) -> Result<(Trace, Option<f64>), SimError> {
     assert!(
-        schedule.triggers().is_empty(),
-        "simulate_until_quiescent does not support triggers"
+        schedule.triggers().is_empty() && opts.stop_hook.is_none(),
+        "simulate_until_quiescent does not support triggers or stop hooks"
     );
     // Integrate in chunks; after each chunk, test the derivative.
     let compiled = CompiledCrn::new(crn, spec);
@@ -521,6 +562,14 @@ pub(crate) fn initial_step(opts: &OdeOptions) -> f64 {
     (opts.record_interval.min(span / 100.0)).max(span * 1e-9)
 }
 
+/// How [`integrate_segment`] ended without an error.
+enum Segment {
+    /// The segment's end was reached.
+    Reached,
+    /// The stop hook fired.
+    Stopped,
+}
+
 #[allow(clippy::too_many_arguments)]
 fn integrate_segment(
     compiled: &CompiledCrn,
@@ -535,7 +584,7 @@ fn integrate_segment(
     schedule: &Schedule,
     triggers: &mut TriggerRuntime,
     metrics: &mut SimMetrics,
-) -> Result<(), SimError> {
+) -> Result<Segment, SimError> {
     // Disjoint borrows of the workspace buffers; all were sized by
     // `prepare`, nothing is allocated in the step loop below.
     let OdeWorkspace {
@@ -640,8 +689,11 @@ fn integrate_segment(
             // queue injections may have jumped the state
             work.invalidate();
         }
+        if opts.stop_hook.is_some_and(|stop| stop(trace)) {
+            return Ok(Segment::Stopped);
+        }
     }
-    Ok(())
+    Ok(Segment::Reached)
 }
 
 #[cfg(test)]
@@ -1012,6 +1064,48 @@ mod tests {
             matches!(err, SimError::Interrupted { ref reason, .. } if reason == "test budget"),
             "{err:?}"
         );
+    }
+
+    /// A stop hook ends the run `Ok` where it fires: the samples before
+    /// it are those of a run to `t_end`, the final sample is the stop
+    /// time, and the metrics report the shorter run.
+    #[test]
+    fn stop_hook_ends_the_run_on_a_prefix() {
+        let crn: Crn = "A + B -> C @fast\nC -> A @slow".parse().unwrap();
+        let a = crn.find_species("A").unwrap();
+        let mut init = State::new(&crn);
+        init.set(a, 2.0).set(crn.find_species("B").unwrap(), 1.5);
+        let compiled = CompiledCrn::new(&crn, &SimSpec::default());
+        let opts = OdeOptions::default().with_t_end(10.0);
+        let full_sink = std::cell::Cell::new(SimMetrics::default());
+        let full = simulate_ode_compiled(
+            &crn,
+            &compiled,
+            &init,
+            &Schedule::new(),
+            &opts.with_metrics(&full_sink),
+        )
+        .unwrap();
+        let stop = |trace: &Trace| trace.len() > 25;
+        let sink = std::cell::Cell::new(SimMetrics::default());
+        let stopped = simulate_ode_compiled(
+            &crn,
+            &compiled,
+            &init,
+            &Schedule::new(),
+            &opts.with_stop_hook(&stop).with_metrics(&sink),
+        )
+        .unwrap();
+        let kept = stopped.len() - 1;
+        assert!(kept > 25 && kept < full.len());
+        assert_eq!(stopped.times()[..kept], full.times()[..kept]);
+        for i in 0..kept {
+            assert_eq!(stopped.state(i), full.state(i));
+        }
+        let m = sink.get();
+        assert_eq!(stopped.times()[kept], m.final_time);
+        assert!(m.final_time >= stopped.times()[kept - 1] && m.final_time < 10.0);
+        assert!(m.ode_steps_accepted < full_sink.get().ode_steps_accepted);
     }
 
     #[test]

@@ -245,7 +245,7 @@ impl<'a, 'h> Simulation<'a, 'h> {
     }
 
     /// Attaches a reusable [`OdeWorkspace`] so repeated runs (sweep
-    /// cells, harness retries) do not re-allocate integrator buffers.
+    /// cells) do not re-allocate integrator buffers.
     /// Used by [`SimMethod::Ode`], [`SimMethod::TauLeapImplicit`] and
     /// [`SimMethod::Hybrid`]; ignored by the other methods. Results are
     /// bit-identical with or without a caller-supplied workspace.

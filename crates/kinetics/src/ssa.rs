@@ -9,7 +9,7 @@
 use crate::compiled::CompiledCrn;
 use crate::events::{Injection, TriggerRuntime};
 use crate::metrics::{sinks_eq, MetricsSink, SimMetrics};
-use crate::ode::StepHook;
+use crate::ode::{StepHook, StopHook};
 use crate::sim::check_record_interval;
 use crate::{Schedule, SimError, State, Trace};
 use molseq_crn::Crn;
@@ -35,6 +35,7 @@ pub struct SsaOptions<'h> {
     max_events: usize,
     seed: u64,
     step_hook: Option<StepHook<'h>>,
+    stop_hook: Option<StopHook<'h>>,
     metrics: Option<MetricsSink<'h>>,
 }
 
@@ -47,6 +48,7 @@ impl std::fmt::Debug for SsaOptions<'_> {
             .field("max_events", &self.max_events)
             .field("seed", &self.seed)
             .field("step_hook", &self.step_hook.map(|_| "<hook>"))
+            .field("stop_hook", &self.stop_hook.map(|_| "<stop>"))
             .field("metrics", &self.metrics.map(|_| "<sink>"))
             .finish()
     }
@@ -60,6 +62,7 @@ impl PartialEq for SsaOptions<'_> {
             && self.max_events == other.max_events
             && self.seed == other.seed
             && crate::ode::hooks_eq(self.step_hook, other.step_hook)
+            && crate::ode::hooks_eq(self.stop_hook, other.stop_hook)
             && sinks_eq(self.metrics, other.metrics)
     }
 }
@@ -75,6 +78,7 @@ impl Default for SsaOptions<'_> {
             max_events: 50_000_000,
             seed: 0,
             step_hook: None,
+            stop_hook: None,
             metrics: None,
         }
     }
@@ -123,6 +127,16 @@ impl<'h> SsaOptions<'h> {
     #[must_use]
     pub fn with_step_hook(mut self, hook: StepHook<'h>) -> Self {
         self.step_hook = Some(hook);
+        self
+    }
+
+    /// Installs a clean stop (builder style), polled after every fired
+    /// reaction event with the trace recorded so far. The exact SSA polls
+    /// it; the tau-leapers, which take these options as their base, do
+    /// not. See [`StopHook`].
+    #[must_use]
+    pub fn with_stop_hook(mut self, stop: StopHook<'h>) -> Self {
+        self.stop_hook = Some(stop);
         self
     }
 
@@ -331,7 +345,8 @@ impl<'a, 'h> SsaRun<'a, 'h> {
 
     /// Plays one iteration of the direct method: one reaction event, or
     /// the plateau up to the next injection (which is applied) or up to
-    /// `t_end` (which ends the run). `Break` carries the outcome.
+    /// `t_end` (which ends the run). A stop hook that fires after the
+    /// event ends the run too. `Break` carries the outcome.
     pub(crate) fn step(&mut self) -> ControlFlow<Result<(), SimError>> {
         let injection_time = self
             .injections
@@ -434,6 +449,10 @@ impl<'a, 'h> SsaRun<'a, 'h> {
         }
         #[cfg(debug_assertions)]
         self.assert_cache_fresh();
+        if self.opts.stop_hook.is_some_and(|stop| stop(&self.trace)) {
+            self.trace.push(self.t, &self.f);
+            return ControlFlow::Break(Ok(()));
+        }
         ControlFlow::Continue(())
     }
 
@@ -608,6 +627,38 @@ mod tests {
         for i in 0..trace.len() {
             assert_eq!(trace.state(i)[x.index()] + trace.state(i)[y.index()], 100.0);
         }
+    }
+
+    /// A stop hook ends the run `Ok` after the event it fires on: the
+    /// samples before it are those of a run to `t_end`, and the final
+    /// sample is the stop time.
+    #[test]
+    fn stop_hook_ends_the_run_on_a_prefix() {
+        let crn: Crn = "X -> Y @slow\nY -> X @slow".parse().unwrap();
+        let x = crn.find_species("X").unwrap();
+        let mut init = State::new(&crn);
+        init.set(x, 50.0);
+        let opts = SsaOptions::default().with_t_end(5.0).with_seed(9);
+        let full = simulate_ssa(&crn, &init, &Schedule::new(), &opts, &SimSpec::default()).unwrap();
+        let stop = |trace: &Trace| trace.len() > 20;
+        let sink = std::cell::Cell::new(crate::SimMetrics::default());
+        let stopped = simulate_ssa(
+            &crn,
+            &init,
+            &Schedule::new(),
+            &opts.with_stop_hook(&stop).with_metrics(&sink),
+            &SimSpec::default(),
+        )
+        .unwrap();
+        let kept = stopped.len() - 1;
+        assert!(kept > 20 && kept < full.len());
+        assert_eq!(stopped.times()[..kept], full.times()[..kept]);
+        for i in 0..kept {
+            assert_eq!(stopped.state(i), full.state(i));
+        }
+        let m = sink.get();
+        assert_eq!(stopped.times()[kept], m.final_time);
+        assert!(m.final_time < 5.0);
     }
 
     #[test]

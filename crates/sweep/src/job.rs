@@ -267,8 +267,8 @@ impl JobCtx {
     ///
     /// The hook receives each simulator call's cumulative step count; the
     /// adapter records only the per-call increment, so one job may drive
-    /// several simulations (e.g. a harness's horizon-doubling retries,
-    /// whose counters restart) against a single shared meter.
+    /// several simulations (e.g. a pipeline's per-stage runs, whose
+    /// counters restart) against a single shared meter.
     ///
     /// # Examples
     ///

@@ -20,7 +20,8 @@ use molseq::kinetics::{
     SimMetrics, SimSpec, Simulation, SsaOptions, State, TauLeapOptions, Trace,
 };
 use molseq::sync::{
-    drive_cycles, BinaryCounter, ClockSpec, CompiledSystem, CycleResources, RunConfig, SyncRun,
+    compile_netlist_source, drive_cycles, drive_cycles_batch, stored_value_terms, BatchCell,
+    BinaryCounter, ClockSpec, CompiledSystem, CycleResources, RunConfig, SyncRun,
 };
 use std::cell::Cell;
 use std::ops::ControlFlow;
@@ -490,8 +491,243 @@ fn cycle_harness_runs_match_their_golden_hashes() {
     let hashes = [drive_hash(&counter2()), drive_hash(&filter2())];
     assert_eq!(
         hashes,
-        [0xac66_96dc_722d_1139, 0x6df4_8f9c_5071_093b,],
+        [0x1efd_db67_752c_d950, 0x2d03_86e9_5cb2_7a60],
         "harness hashes moved: {hashes:x?}"
+    );
+}
+
+/// Index of the exit sample of red plateau `plateau` (0 is the rest
+/// state): the first recorded sample after the plateau's entry whose
+/// dimer-weighted red sum is at most 0.9 token. `None` while it is still
+/// open at the end of the trace.
+fn plateau_exit(system: &CompiledSystem, trace: &Trace, plateau: usize) -> Option<usize> {
+    let red = stored_value_terms(system.crn(), system.clock().red);
+    let threshold = 0.9 * system.clock().token;
+    let mut open = false;
+    let mut closed = 0;
+    for i in 0..trace.len() {
+        let sum: f64 = red
+            .iter()
+            .map(|&(s, w)| w * trace.state(i)[s.index()])
+            .sum();
+        let high = sum > threshold;
+        if high && !open {
+            open = true;
+        } else if !high && open {
+            if closed == plateau {
+                return Some(i);
+            }
+            closed += 1;
+            open = false;
+        }
+    }
+    None
+}
+
+/// Hash of what a harness run reports up to the close of its last
+/// counted plateau: the per-cycle sample times, every register series in
+/// name order, and the trace samples and marks through that plateau's
+/// exit sample. Where the run stops afterwards does not enter it.
+fn prefix_hash(system: &CompiledSystem, run: &SyncRun) -> u64 {
+    let trace = run.trace();
+    let exit = plateau_exit(system, trace, run.cycles()).expect("the last plateau closes");
+    let mut h = Fnv::new();
+    h.word(exit as u64);
+    for i in 0..=exit {
+        h.real(trace.times()[i]);
+        for &v in trace.state(i) {
+            h.real(v);
+        }
+    }
+    let t_exit = trace.times()[exit];
+    let marks: Vec<_> = trace
+        .marks()
+        .iter()
+        .filter(|&&(t, _)| t <= t_exit)
+        .collect();
+    h.word(marks.len() as u64);
+    for &&(t, k) in &marks {
+        h.real(t);
+        h.word(k as u64);
+    }
+    for &t in run.sample_times() {
+        h.real(t);
+    }
+    let mut names: Vec<&str> = system.register_names().collect();
+    names.sort_unstable();
+    for name in names {
+        for &v in run.register_series(name).expect("captured") {
+            h.real(v);
+        }
+    }
+    h.0
+}
+
+fn drive_with_hint(c: &Circuit, hint: f64) -> SyncRun {
+    let config = RunConfig {
+        cycle_time_hint: hint,
+        ..RunConfig::default()
+    };
+    drive_cycles(
+        &c.system,
+        &[(c.input, &c.samples)],
+        c.samples.len(),
+        &config,
+        CycleResources::default(),
+    )
+    .expect("drives")
+}
+
+/// What the harness reports up to its last counted plateau: both circuits
+/// at the default hint, again at hint 3 (their clock period is about 5.5
+/// time units, so a first horizon of 9 falls short of the two requested
+/// cycles), and two lanes of one batched counter call.
+#[test]
+fn cycle_harness_prefixes_match_their_golden_hashes() {
+    let mut hashes = Vec::new();
+    for hint in [12.0, 3.0] {
+        for c in [counter2(), filter2()] {
+            let run = drive_with_hint(&c, hint);
+            let first_horizon = hint * (c.samples.len() + 1) as f64;
+            if hint == 3.0 {
+                // the requested cycles end beyond the first horizon
+                let t_last = *run.trace().times().last().expect("recorded");
+                assert!(t_last > first_horizon, "{}: {t_last}", c.name);
+            }
+            hashes.push(prefix_hash(&c.system, &run));
+        }
+    }
+    let c = counter2();
+    let base = CompiledCrn::new(c.system.crn(), &SimSpec::default());
+    let compiled: Vec<CompiledCrn> = [100.0, 1000.0]
+        .iter()
+        .map(|&r| base.rebind(&SimSpec::new(RateAssignment::from_ratio(r))))
+        .collect();
+    let cells: Vec<BatchCell> = compiled
+        .iter()
+        .map(|compiled| BatchCell {
+            compiled,
+            config: RunConfig::default(),
+        })
+        .collect();
+    let runs = drive_cycles_batch(
+        &c.system,
+        &[(c.input, &c.samples)],
+        c.samples.len(),
+        &cells,
+        &mut BatchedOdeWorkspace::new(),
+    )
+    .expect("shared setup");
+    for run in runs {
+        hashes.push(prefix_hash(&c.system, &run.expect("lane drives")));
+    }
+    assert_eq!(
+        hashes,
+        [
+            0x8622_c5e2_bbf9_0df2,
+            0xcf95_ddb3_654e_5d81,
+            0x8622_c5e2_bbf9_0df2,
+            0xcf95_ddb3_654e_5d81,
+            0x2826_e98c_c96e_2f2e,
+            0x8622_c5e2_bbf9_0df2,
+        ],
+        "harness prefix hashes moved: {hashes:x?}"
+    );
+}
+
+/// A stopped harness run is a prefix of the same cell run to the fixed
+/// horizon `hint × (cycles + 1)`: every sample and mark before its final
+/// sample is bit-identical, and its cycles are those `SyncRun::from_trace`
+/// reads from the longer trace.
+#[test]
+fn a_stopped_harness_run_is_a_prefix_of_the_fixed_horizon_run() {
+    for c in [counter2(), filter2()] {
+        let cycles = c.samples.len();
+        let stopped = drive_with_hint(&c, 12.0);
+        let schedule = Schedule::new().trigger(
+            c.system
+                .input_trigger(c.input, &c.samples)
+                .expect("trigger"),
+        );
+        let full = Simulation::new(
+            c.system.crn(),
+            &CompiledCrn::new(c.system.crn(), &SimSpec::default()),
+        )
+        .init(&c.system.initial_state())
+        .schedule(&schedule)
+        .options(
+            OdeOptions::default()
+                .with_t_end(12.0 * (cycles + 1) as f64)
+                .with_record_interval(0.1)
+                .with_tolerances(1e-5, 1e-8),
+        )
+        .run()
+        .expect("runs");
+        let trace = stopped.trace();
+        let kept = trace.len() - 1;
+        assert!(kept < full.len(), "{}: the stop saved no samples", c.name);
+        assert_eq!(trace.times()[..kept], full.times()[..kept], "{}", c.name);
+        for i in 0..kept {
+            let (a, b) = (trace.state(i), full.state(i));
+            assert!(
+                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{}: sample {i} differs",
+                c.name
+            );
+        }
+        assert_eq!(
+            trace.marks(),
+            &full.marks()[..trace.marks().len()],
+            "{}",
+            c.name
+        );
+        let reference = SyncRun::from_trace(&c.system, full);
+        assert_eq!(
+            stopped.sample_times(),
+            &reference.sample_times()[..cycles],
+            "{}",
+            c.name
+        );
+        for name in c.system.register_names() {
+            assert_eq!(
+                stopped.register_series(name).expect("captured"),
+                &reference.register_series(name).expect("captured")[..cycles],
+                "{}: register {name}",
+                c.name
+            );
+        }
+    }
+}
+
+/// A plateau cut off by the end of the run is not a cycle: the netlist
+/// counter at ratio 30 ends its third cycle just after t = 48, the
+/// parent's fixed first horizon, so the harness must run on until that
+/// plateau has closed.
+#[test]
+fn the_last_counted_plateau_has_closed() {
+    let system = compile_netlist_source(
+        include_str!("../examples/netlists/counter2.nl"),
+        ClockSpec::default(),
+    )
+    .expect("compiles");
+    let config = RunConfig {
+        spec: SimSpec::new(RateAssignment::from_ratio(30.0)),
+        ..RunConfig::default()
+    };
+    let pulses = [60.0, 60.0, 60.0];
+    let run = drive_cycles(
+        &system,
+        &[("pulse", &pulses)],
+        3,
+        &config,
+        CycleResources::default(),
+    )
+    .expect("drives");
+    assert!(
+        plateau_exit(&system, run.trace(), 3).is_some(),
+        "the third cycle's plateau is still open at t = {:?}; sample times {:?}",
+        run.trace().times().last(),
+        run.sample_times()
     );
 }
 
