@@ -32,11 +32,15 @@
 #                     report nonzero compiled-CRN cache hits, and pass the
 #                     cancel and budget-exceeded probes; the server must
 #                     exit cleanly on the wire shutdown op
-#  12. batched ODE     repro e6 at --batch 4/--batch 8 must reproduce the
-#                     scalar run: reports byte-identical, summary labels,
-#                     statuses and deterministic counters byte-identical,
-#                     wall and batch-shape metrics tolerance-gated by
-#                     trend; non-power-of-2 --batch values are usage
+#  12. batched ODE     repro e6 on its full 7-cell grid at --batch 2/4/8
+#                     (lane groups 2+2+2 plus a scalar singleton, 4+3 —
+#                     width 3 runs the dynamic-width kernels — and 7)
+#                     must reproduce the scalar run: reports
+#                     byte-identical, summary labels, statuses and
+#                     deterministic counters byte-identical, batch_width
+#                     columns reading those groups, wall and batch-shape
+#                     metrics tolerance-gated by trend; non-power-of-2
+#                     --batch values are usage
 #                     errors, and trend --history renders the perf
 #                     trajectory with a passing drift gate — while
 #                     unfillable --gate-last windows (K > history length,
@@ -244,10 +248,22 @@ target/release/trend "$SWEEP_TMP/srv_w1" "$SWEEP_TMP/srv_w4" > "$SWEEP_TMP/trend
        cat "$SWEEP_TMP/trend_serve.md" >&2; exit 1; }
 
 echo "== batched ODE: lock-step batch reproduces the scalar sweep =="
-target/release/repro e6 --quick --jobs 2 --summary "$SWEEP_TMP/e6_scalar" > "$SWEEP_TMP/report_e6_scalar.txt"
-target/release/repro e6 --quick --jobs 2 --batch 4 --summary "$SWEEP_TMP/e6_b4" > "$SWEEP_TMP/report_e6_b4.txt"
-target/release/repro e6 --quick --jobs 1 --batch 8 --summary "$SWEEP_TMP/e6_b8" > "$SWEEP_TMP/report_e6_b8.txt"
-for batched in e6_b4 e6_b8; do
+# the full e6 grid (7 ratios; --quick sweeps only 2, a single width-2
+# group at every --batch) so the widths reach 2, 3, 4 and 7
+target/release/repro e6 --jobs 2 --summary "$SWEEP_TMP/e6_scalar" > "$SWEEP_TMP/report_e6_scalar.txt"
+target/release/repro e6 --jobs 2 --batch 2 --summary "$SWEEP_TMP/e6_b2" > "$SWEEP_TMP/report_e6_b2.txt"
+target/release/repro e6 --jobs 2 --batch 4 --summary "$SWEEP_TMP/e6_b4" > "$SWEEP_TMP/report_e6_b4.txt"
+target/release/repro e6 --jobs 1 --batch 8 --summary "$SWEEP_TMP/e6_b8" > "$SWEEP_TMP/report_e6_b8.txt"
+# the lane-group width each cell reports, in cell order (0 = scalar)
+batch_widths() {
+  awk -F, 'NR==1 { for (i=1;i<=NF;i++) if ($i=="batch_width") c = i; next } { printf "%s ", $c }' "$1"
+}
+for spec in "e6_b2:2 2 2 2 2 2 0 " "e6_b4:4 4 4 4 3 3 3 " "e6_b8:7 7 7 7 7 7 7 "; do
+  got=$(batch_widths "$SWEEP_TMP/${spec%%:*}/e6.summary.csv")
+  [ "$got" = "${spec#*:}" ] \
+    || { echo "ci: ${spec%%:*} batch widths are '$got', want '${spec#*:}'" >&2; exit 1; }
+done
+for batched in e6_b2 e6_b4 e6_b8; do
   # the experiment report (moving-average traces, fitted slopes) must not
   # depend on the batch width at all
   diff <(grep -v "generated in" "$SWEEP_TMP/report_e6_scalar.txt") \

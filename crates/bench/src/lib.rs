@@ -183,6 +183,7 @@ pub fn record_sim_metrics(job: &JobCtx, m: SimMetrics) {
     job.record_metric("ode_steps_accepted", m.ode_steps_accepted as f64);
     job.record_metric("ode_steps_rejected", m.ode_steps_rejected as f64);
     job.record_metric("lu_factorizations", m.lu_factorizations as f64);
+    job.record_metric("dense_lu_fallbacks", m.dense_lu_fallbacks as f64);
     job.record_metric("ssa_events", m.ssa_events as f64);
     job.record_metric("tau_leaps", m.tau_leaps as f64);
     job.record_metric("tau_leaps_implicit", m.tau_leaps_implicit as f64);

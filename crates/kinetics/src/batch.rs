@@ -8,8 +8,9 @@
 //! advancing up to `width` cells in lock-step through one Rosenbrock
 //! driver: per attempted step it evaluates all lanes' fluxes and Jacobian
 //! nonzeros with shared index decoding, assembles and factors every
-//! stale lane's `W` in one pass over the shared elimination structure,
-//! and back-solves the three stage systems for all lanes at once.
+//! stale lane's `W` in one pass over the shared packed elimination
+//! structure, and back-solves the three stage systems for all lanes at
+//! once.
 //!
 //! State lives species-major, lane-contiguous (`x[i * width + l]`), so
 //! the inner loops are stride-1 over lanes and autovectorize — no
@@ -18,22 +19,25 @@
 //! **Determinism contract.** Every lane reproduces the scalar
 //! [`run_ode`](crate::ode) path *bit for bit*, at any batch width: lanes
 //! share index structure, never floating-point values. Each lane keeps
-//! its own step controller (`h`), Jacobian freshness flags, cached-LU
-//! key and metrics; everywhere the scalar code path has a data-dependent
-//! skip (zero flux, zero Jacobian partial, zero multiplier, cached
-//! factorization), the batched kernels use a per-lane select of the same
-//! condition, preserving even `-0.0` signs. Lanes that finish (at
-//! `t_end` or on their stop hook), fail, or get budget-cut *retire*:
-//! their state is zeroed (keeping the unmasked full-width arithmetic
-//! finite) and they stop contributing bookkeeping, while surviving lanes
-//! continue unperturbed.
+//! its own step controller (`h`), Jacobian and first-stage-derivative
+//! freshness flags, cached-LU key and metrics; everywhere the scalar code
+//! path has a data-dependent skip (zero flux, zero Jacobian partial, zero
+//! multiplier, cached factorization), the batched kernels use a per-lane
+//! select of the same condition, preserving even `-0.0` signs. The
+//! full-width first-stage derivative pass runs only when some attempting
+//! lane lacks a fresh `f(x)`; a lane that holds one gets the same bits
+//! from it, as the scalar stepper's first-same-as-last reuse does. Lanes
+//! that finish (at `t_end` or on their stop hook), fail, or get
+//! budget-cut *retire*: their state is zeroed (keeping the unmasked
+//! full-width arithmetic finite) and they stop contributing bookkeeping,
+//! while surviving lanes continue unperturbed.
 
 use crate::compiled::CompiledCrn;
 use crate::events::{Injection, TriggerRuntime};
 use crate::metrics::SimMetrics;
 use crate::ode::{expected_records, initial_step, OdeOptions};
 use crate::sim::check_record_interval;
-use crate::stiff::{assemble_w, Lu, Symbolic, C32, D};
+use crate::stiff::{Lu, Symbolic, C32, D};
 use crate::{Schedule, SimError, State, Trace};
 use molseq_crn::Crn;
 use std::ops::ControlFlow;
@@ -78,7 +82,8 @@ pub struct BatchedOdeWorkspace {
     solve_scratch: Vec<f64>,
     /// Jacobian nonzeros, `nnz × width`.
     jac_vals: Vec<f64>,
-    /// The `W` matrices, `n² × width` (entry-major, lane-contiguous).
+    /// The packed `W` factors, `packed_len × width` (slot-major,
+    /// lane-contiguous).
     w: Vec<f64>,
     /// Per-lane rate constants, `reactions × width`.
     ks: Vec<f64>,
@@ -101,9 +106,10 @@ pub struct BatchedOdeWorkspace {
     lane_buf: Vec<f64>,
     lane_jac: Vec<f64>,
     sample: Vec<f64>,
-    /// Per-lane pivoted dense fallback factors (kept across calls only as
-    /// buffer capacity; numerically rebuilt whenever used).
-    dense: Vec<Option<Lu>>,
+    /// Per-lane pivoted dense fallback factors. Each allocates its `n×n`
+    /// buffer on its lane's first guard trip and keeps it across calls
+    /// as capacity; it is numerically rebuilt whenever used.
+    dense: Vec<Lu>,
 }
 
 impl BatchedOdeWorkspace {
@@ -114,9 +120,11 @@ impl BatchedOdeWorkspace {
     }
 
     fn prepare(&mut self, reference: &CompiledCrn, wd: usize) {
-        if !self.sym.as_ref().is_some_and(|s| s.matches(reference)) {
-            self.sym = Some(Symbolic::new(reference));
-        }
+        let sym = match &mut self.sym {
+            Some(sym) if sym.matches(reference) => sym,
+            slot => slot.insert(Symbolic::new(reference)),
+        };
+        let packed = sym.packed_len();
         let n = reference.species_count();
         let nnz = reference.jacobian_nnz();
         for buf in [
@@ -139,7 +147,7 @@ impl BatchedOdeWorkspace {
         self.jac_vals.clear();
         self.jac_vals.resize(nnz * wd, 0.0);
         self.w.clear();
-        self.w.resize(n * n * wd, 0.0);
+        self.w.resize(packed * wd, 0.0);
         for buf in [
             &mut self.flux,
             &mut self.inv,
@@ -170,8 +178,7 @@ impl BatchedOdeWorkspace {
         self.lane_jac.resize(nnz, 0.0);
         self.sample.clear();
         self.sample.resize(n, 0.0);
-        self.dense.clear();
-        self.dense.resize_with(wd, || None);
+        self.dense.resize_with(wd, Lu::default);
     }
 }
 
@@ -210,6 +217,7 @@ struct LaneState<'a, 'h> {
     steps_used: usize,
     // Rosenbrock cache flags, mirroring `RosenbrockWork`
     jac_fresh: bool,
+    f0_fresh: bool,
     lu_valid: bool,
     lu_sparse: bool,
     lu_h: f64,
@@ -266,6 +274,7 @@ impl<'a, 'h> LaneState<'a, 'h> {
             next_record: opts.t_start() + opts.record_interval(),
             steps_used: 0,
             jac_fresh: false,
+            f0_fresh: false,
             lu_valid: false,
             lu_sparse: false,
             lu_h: f64::NAN,
@@ -373,8 +382,10 @@ fn advance_to_attempt(
                 for f in fired {
                     st.trace.push_mark(st.t, f);
                 }
-                // the state jumped: cached Jacobian is for the old state
+                // the state jumped: cached Jacobian and f(x) are for the
+                // old state
                 st.jac_fresh = false;
+                st.f0_fresh = false;
             }
             continue;
         }
@@ -535,7 +546,7 @@ pub fn run_ode_batch<'h>(
                 .iter()
                 .enumerate()
                 .all(|(l, st)| need[l] || st.done.is_some());
-            sym.assemble_batch(reference, jac_vals, hd, need, all_need, w);
+            sym.assemble_batch(jac_vals, hd, need, all_need, w);
             sym.factor_batch(w, need, okf, inv, mul, upd, all_need);
             for (l, st) in states.iter_mut().enumerate() {
                 if !need[l] {
@@ -551,27 +562,18 @@ pub fn run_ode_batch<'h>(
                     // the guard tripped for this lane: rebuild its W
                     // unpermuted and fall back to the pivoted dense LU,
                     // exactly as the scalar step does
+                    st.metrics.dense_lu_fallbacks += 1;
                     extract_lane(jac_vals, lane_jac, wd, l);
-                    let (mut buf, piv) = dense[l]
-                        .take()
-                        .map_or_else(|| (Vec::new(), Vec::new()), Lu::into_buffers);
-                    buf.clear();
-                    buf.resize(n * n, 0.0);
-                    assemble_w(st.compiled, lane_jac, hd[l], &mut buf);
-                    match Lu::factor(buf, piv, n) {
-                        Ok(lu) => {
-                            dense[l] = Some(lu);
-                            st.lu_sparse = false;
-                            st.lu_valid = true;
-                            st.lu_h = h_try[l];
-                            st.factorizations += 1;
-                        }
-                        Err(_) => {
-                            // singular W: this lane rejects and retries
-                            // from an exact Jacobian at a smaller step
-                            st.jac_fresh = false;
-                            step_fail[l] = true;
-                        }
+                    if dense[l].factor_w(st.compiled, lane_jac, hd[l]) {
+                        st.lu_sparse = false;
+                        st.lu_valid = true;
+                        st.lu_h = h_try[l];
+                        st.factorizations += 1;
+                    } else {
+                        // singular W: this lane rejects and retries from
+                        // an exact Jacobian at a smaller step
+                        st.jac_fresh = false;
+                        step_fail[l] = true;
                     }
                 }
             }
@@ -587,7 +589,33 @@ pub fn run_ode_batch<'h>(
         }
 
         // --- the three Rosenbrock stages, full width ---
-        reference.derivative_batch(ks, x, f0, flux);
+        // A lane with a fresh f(x) holds exactly the bits the full-width
+        // pass would give it, so the pass runs only for a lane without.
+        if states
+            .iter()
+            .enumerate()
+            .any(|(l, st)| attempting[l] && !st.f0_fresh)
+        {
+            reference.derivative_batch(ks, x, f0, flux);
+            for (l, st) in states.iter_mut().enumerate() {
+                st.f0_fresh |= attempting[l];
+            }
+        }
+        #[cfg(debug_assertions)]
+        {
+            // `f1` is scratch until the second stage
+            reference.derivative_batch(ks, x, f1, flux);
+            for (l, _) in attempting.iter().enumerate().filter(|(_, &a)| a) {
+                for i in 0..n {
+                    let (cached, fresh) = (f0[i * wd + l], f1[i * wd + l]);
+                    assert!(
+                        cached.to_bits() == fresh.to_bits(),
+                        "lane {l}: reused f(x) of species {i} is {cached}, \
+                         a fresh evaluation gives {fresh}"
+                    );
+                }
+            }
+        }
         k1.copy_from_slice(f0);
         stage_solve(
             sym,
@@ -667,10 +695,13 @@ pub fn run_ode_batch<'h>(
                     err_ratio = err_ratio.max(err[i * wd + l].abs() / scale);
                 }
                 if err_ratio <= 1.0 {
+                    // the state moved: the next step needs a fresh
+                    // Jacobian, and starts from this step's last-stage
+                    // derivative
                     for i in 0..n {
                         x[i * wd + l] = y_new[i * wd + l];
+                        f0[i * wd + l] = f2[i * wd + l];
                     }
-                    // the state moved: the next step needs a fresh Jacobian
                     st.jac_fresh = false;
                     let grow = if err_ratio > 0.0 {
                         0.9 * err_ratio.powf(-1.0 / 3.0)
@@ -757,6 +788,7 @@ pub fn run_ode_batch<'h>(
             if !fired.is_empty() {
                 // queue injections may have jumped the state
                 st.jac_fresh = false;
+                st.f0_fresh = false;
             }
             if st.opts.stop_hook().is_some_and(|stop| stop(&st.trace)) {
                 complete_lane(st, x, lane_buf, wd, l, &mut retired);
@@ -799,14 +831,14 @@ fn stage_solve(
     solve_mask: &[bool],
     all_solve: bool,
     dense_mask: &[bool],
-    dense: &[Option<Lu>],
+    dense: &[Lu],
     lane_buf: &mut [f64],
     wd: usize,
 ) {
     for (l, &is_dense) in dense_mask.iter().enumerate() {
         if is_dense {
             extract_lane(b, lane_buf, wd, l);
-            dense[l].as_ref().expect("factored dense").solve(lane_buf);
+            dense[l].solve(lane_buf);
             store_lane(b, lane_buf, wd, l);
         }
     }
@@ -1060,6 +1092,57 @@ mod tests {
         let mut order: Vec<u64> = m.iter().map(|m| m.lanes_retired).collect();
         order.sort_unstable();
         assert_eq!(order, [0, 1, 2]);
+    }
+
+    /// A tripped no-pivot guard reaches the metrics sink, scalar and in a
+    /// lane. The network's first pivot `1 − h·D·k` cancels at a first
+    /// step of 0.1 (the initial step at record interval 0.1), so the
+    /// pivoted dense LU takes that step; at record interval 0.05 the
+    /// same pivot is 0.5 and the first step stays sparse.
+    #[test]
+    fn a_tripped_guard_is_counted_scalar_and_in_a_lane() {
+        let k = 1.0 / (0.1 * D);
+        let crn: Crn = format!("A -> 2A @{k}\n2A -> A @1\nB -> A + B @1\nA -> A + B @1\nB -> 0 @1")
+            .parse()
+            .unwrap();
+        let mut init = State::new(&crn);
+        init.set(crn.find_species("B").unwrap(), 1.0);
+        let compiled = CompiledCrn::new(&crn, &SimSpec::default());
+        let schedule = Schedule::new();
+        let opts = [0.1, 0.05].map(|dt| lane_opts(10.0).with_record_interval(dt));
+        let scalar_sinks = [(); 2].map(|()| Cell::new(SimMetrics::default()));
+        let scalar: Vec<Trace> = opts
+            .iter()
+            .zip(&scalar_sinks)
+            .map(|(o, sink)| {
+                scalar_trace(&crn, &compiled, &init, &schedule, &o.with_metrics(sink)).unwrap()
+            })
+            .collect();
+        let scalar_counts = scalar_sinks.each_ref().map(|s| s.get().dense_lu_fallbacks);
+        assert!(
+            scalar_counts[0] >= 1,
+            "the guard must trip: {scalar_counts:?}"
+        );
+
+        let lane_sinks = [(); 2].map(|()| Cell::new(SimMetrics::default()));
+        let lanes: Vec<BatchLane> = opts
+            .iter()
+            .zip(&lane_sinks)
+            .map(|(o, sink)| BatchLane {
+                compiled: &compiled,
+                init: &init,
+                schedule: &schedule,
+                options: o.with_metrics(sink),
+            })
+            .collect();
+        let batched = run_ode_batch(&crn, &lanes, &mut BatchedOdeWorkspace::new());
+        for (l, (s, b)) in scalar.iter().zip(batched).enumerate() {
+            assert_eq!(s, &b.unwrap(), "lane {l}");
+        }
+        assert_eq!(
+            lane_sinks.each_ref().map(|s| s.get().dense_lu_fallbacks),
+            scalar_counts
+        );
     }
 
     #[test]

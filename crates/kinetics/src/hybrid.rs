@@ -34,7 +34,7 @@ use crate::compiled::CompiledCrn;
 use crate::metrics::{sinks_eq, MetricsSink, SimMetrics};
 use crate::ode::{OdeWorkspace, StepHook};
 use crate::ssa::{run_ssa, select_reaction, SsaOptions};
-use crate::stiff::{assemble_w, Factored, Lu, Symbolic, C32, D};
+use crate::stiff::{Factored, Symbolic, C32, D};
 use crate::tau_implicit::find_reverse_pairs;
 use crate::{Schedule, SimError, State, Trace};
 use molseq_crn::Crn;
@@ -338,12 +338,13 @@ impl<'h> HybridOptions<'h> {
 }
 
 /// Reusable buffers for the hybrid engine's fast-subsystem stepper: the
-/// shared minimum-degree symbolic factorization plus the ode23s stage
+/// shared minimum-degree symbolic factorization, the packed `W` factor
+/// with its lazily allocated dense fallback, and the ode23s stage
 /// vectors, sized once per network and recycled across runs via
-/// [`OdeWorkspace`]. Unlike the pure-ODE stepper there is no Jacobian or
-/// LU cache across steps — the masked drift changes with every
-/// repartition and every slow firing, so each trial step assembles and
-/// factors fresh.
+/// [`OdeWorkspace`]. Unlike the pure-ODE stepper there is no Jacobian,
+/// LU or first-stage derivative cache across steps — the masked drift
+/// changes with every repartition and every slow firing, so each trial
+/// step evaluates, assembles and factors fresh.
 pub(crate) struct HybridWork {
     n: usize,
     reaction_count: usize,
@@ -351,8 +352,7 @@ pub(crate) struct HybridWork {
     /// Masked propensity-drift Jacobian nonzeros over the full shared CSR
     /// pattern (slots of excluded reactions stay zero).
     jac_vals: Vec<f64>,
-    w: Vec<f64>,
-    pivots: Vec<usize>,
+    lu: Factored,
     f0: Vec<f64>,
     f1: Vec<f64>,
     f2: Vec<f64>,
@@ -373,13 +373,13 @@ pub(crate) struct HybridWork {
 impl HybridWork {
     pub(crate) fn new(compiled: &CompiledCrn) -> Self {
         let n = compiled.species_count();
+        let sym = Symbolic::new(compiled);
         HybridWork {
             n,
             reaction_count: compiled.reaction_count(),
-            sym: Symbolic::new(compiled),
             jac_vals: vec![0.0; compiled.jacobian_nnz()],
-            w: vec![0.0; n * n],
-            pivots: vec![0usize; n],
+            lu: Factored::new(&sym),
+            sym,
             f0: vec![0.0; n],
             f1: vec![0.0; n],
             f2: vec![0.0; n],
@@ -414,33 +414,14 @@ impl HybridWork {
     fn step(&mut self, compiled: &CompiledCrn, fast: &[bool], y: &[f64], h: f64) -> bool {
         let n = self.n;
         compiled.propensity_jacobian_sparse_masked(y, &mut self.jac_vals, fast);
-        let hd = h * D;
-        self.sym.assemble(compiled, &self.jac_vals, hd, &mut self.w);
-        let lin = if self.sym.factor(&mut self.w) {
-            Factored::Sparse(std::mem::take(&mut self.w))
-        } else {
-            // the no-pivot guard tripped mid-elimination and clobbered
-            // `w`: rebuild unpermuted and fall back to the pivoted dense
-            // factorization
-            assemble_w(compiled, &self.jac_vals, hd, &mut self.w);
-            match Lu::factor(
-                std::mem::take(&mut self.w),
-                std::mem::take(&mut self.pivots),
-                n,
-            ) {
-                Ok(lu) => Factored::Dense(lu),
-                Err((w, pivots)) => {
-                    self.w = w;
-                    self.pivots = pivots;
-                    return false;
-                }
-            }
-        };
+        if !self.lu.factor(&self.sym, compiled, &self.jac_vals, h * D) {
+            return false;
+        }
         self.factorizations += 1;
 
         compiled.propensity_drift_masked(y, &mut self.f0, fast);
         self.k1.copy_from_slice(&self.f0);
-        lin.solve(&self.sym, &mut self.k1, &mut self.bperm);
+        self.lu.solve(&self.sym, &mut self.k1, &mut self.bperm);
 
         for i in 0..n {
             self.ytmp[i] = y[i] + 0.5 * h * self.k1[i];
@@ -449,7 +430,7 @@ impl HybridWork {
         for i in 0..n {
             self.k2[i] = self.f1[i] - self.k1[i];
         }
-        lin.solve(&self.sym, &mut self.k2, &mut self.bperm);
+        self.lu.solve(&self.sym, &mut self.k2, &mut self.bperm);
         for i in 0..n {
             self.k2[i] += self.k1[i];
         }
@@ -462,14 +443,10 @@ impl HybridWork {
             self.k3[i] =
                 self.f2[i] - C32 * (self.k2[i] - self.f1[i]) - 2.0 * (self.k1[i] - self.f0[i]);
         }
-        lin.solve(&self.sym, &mut self.k3, &mut self.bperm);
+        self.lu.solve(&self.sym, &mut self.k3, &mut self.bperm);
 
         for i in 0..n {
             self.err[i] = h / 6.0 * (self.k1[i] - 2.0 * self.k2[i] + self.k3[i]);
-        }
-        match lin {
-            Factored::Sparse(w) => self.w = w,
-            Factored::Dense(lu) => (self.w, self.pivots) = lu.into_buffers(),
         }
         true
     }
@@ -642,7 +619,7 @@ pub(crate) fn run_hybrid(
         slot => *slot = Some(HybridWork::new(compiled)),
     }
     let work = workspace.hybrid.as_mut().expect("prepared above");
-    let lu_before = work.factorizations();
+    let (lu_before, fallbacks_before) = (work.factorizations(), work.lu.fallbacks());
     let n = compiled.species_count();
     let span = opts.t_end - opts.t_start;
 
@@ -959,6 +936,7 @@ pub(crate) fn run_hybrid(
     // step-limited run still reports what it cost.
     metrics.final_time = t;
     metrics.lu_factorizations = work.factorizations() - lu_before;
+    metrics.dense_lu_fallbacks = work.lu.fallbacks() - fallbacks_before;
     SimMetrics::flush(opts.metrics, metrics);
 
     if let Some(e) = failure {

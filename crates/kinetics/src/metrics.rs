@@ -1,8 +1,9 @@
 //! Per-simulation instrumentation.
 //!
-//! Every integrator in this crate (ODE, SSA, NRM, tau-leaping) can report
-//! what it actually did — steps accepted and rejected, LU refactorizations,
-//! stochastic events fired, leaps taken — into a caller-supplied
+//! Every integrator in this crate (ODE, SSA, tau-leaping, hybrid) can
+//! report what it actually did — steps accepted and rejected, LU
+//! refactorizations and dense fallbacks, stochastic events fired, leaps
+//! taken — into a caller-supplied
 //! [`SimMetrics`] cell. The sweep engine threads one sink per cell, so a
 //! parameter sweep records not just *what* each cell computed but *how
 //! much work* it cost, and `repro --summary DIR` persists the counters
@@ -59,6 +60,11 @@ pub struct SimMetrics {
     /// Numeric LU factorizations of `W = I − h·d·J` (Rosenbrock only;
     /// sparse and pivoted-dense fallback factorizations both count).
     pub lu_factorizations: u64,
+    /// Factorizations whose no-pivot sparse elimination tripped its
+    /// stability guard and fell back to the pivoted dense LU: in the
+    /// Rosenbrock stepper (scalar or a batched lane), the hybrid
+    /// engine's fast step and the implicit tau-leaper's Newton solve.
+    pub dense_lu_fallbacks: u64,
     /// Exact stochastic reaction events fired (SSA and NRM, plus the
     /// exact-step fallback of tau-leaping).
     pub ssa_events: u64,
@@ -109,6 +115,7 @@ impl SimMetrics {
         self.ode_steps_accepted += other.ode_steps_accepted;
         self.ode_steps_rejected += other.ode_steps_rejected;
         self.lu_factorizations += other.lu_factorizations;
+        self.dense_lu_fallbacks += other.dense_lu_fallbacks;
         self.ssa_events += other.ssa_events;
         self.tau_leaps += other.tau_leaps;
         self.tau_leaps_implicit += other.tau_leaps_implicit;
@@ -159,6 +166,7 @@ mod tests {
             ode_steps_accepted: 10,
             ode_steps_rejected: 1,
             lu_factorizations: 5,
+            dense_lu_fallbacks: 1,
             ssa_events: 0,
             tau_leaps: 0,
             tau_leaps_implicit: 2,
@@ -174,6 +182,7 @@ mod tests {
         };
         total.absorb(&SimMetrics {
             ode_steps_accepted: 2,
+            dense_lu_fallbacks: 2,
             ssa_events: 30,
             tau_leaps_implicit: 3,
             newton_iterations: 9,
@@ -188,6 +197,7 @@ mod tests {
         });
         assert_eq!(total.ode_steps_accepted, 12);
         assert_eq!(total.ode_steps_rejected, 1);
+        assert_eq!(total.dense_lu_fallbacks, 3);
         assert_eq!(total.ssa_events, 30);
         assert_eq!(total.tau_leaps_implicit, 5);
         assert_eq!(total.newton_iterations, 15);

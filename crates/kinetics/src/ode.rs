@@ -251,8 +251,11 @@ impl<'h> OdeOptions<'h> {
 }
 
 /// Reusable integrator buffers: the Rosenbrock step scratch (including
-/// the cached Jacobian + LU), the previous state, and the interpolation
-/// buffer for recorded samples.
+/// the cached Jacobian, the packed sparse LU of `W` and the last
+/// right-hand side), the previous state, and the interpolation buffer for
+/// recorded samples. `W`'s pivoted dense fallback holds no `n×n` buffer
+/// until a stability guard first trips; the implicit tau-leaper's and the
+/// hybrid engine's `W`-solvers, kept here too, follow the same rule.
 ///
 /// One workspace serves any number of [`crate::Simulation`] runs (attach
 /// it with `Simulation::workspace`); buffers are lazily (re)sized to the
@@ -335,10 +338,10 @@ pub(crate) fn run_ode(
     }
 
     workspace.prepare(compiled, init.as_slice());
-    let lu_before = workspace
+    let work_before = workspace
         .rosenbrock
         .as_ref()
-        .map_or(0, crate::stiff::RosenbrockWork::factorizations);
+        .map_or((0, 0), |w| (w.factorizations(), w.dense_fallbacks()));
     let mut t = opts.t_start;
     let mut trace = Trace::with_capacity(crn, expected_records(opts, schedule));
     trace.push(t, &workspace.x);
@@ -410,11 +413,10 @@ pub(crate) fn run_ode(
     // Flush the work counters even on failure: an interrupted or
     // step-limited cell still reports what it cost.
     metrics.final_time = t;
-    metrics.lu_factorizations = workspace
-        .rosenbrock
-        .as_ref()
-        .map_or(0, crate::stiff::RosenbrockWork::factorizations)
-        - lu_before;
+    if let Some(work) = workspace.rosenbrock.as_ref() {
+        metrics.lu_factorizations = work.factorizations() - work_before.0;
+        metrics.dense_lu_fallbacks = work.dense_fallbacks() - work_before.1;
+    }
     SimMetrics::flush(opts.metrics, metrics);
 
     if let Some(e) = failure {
@@ -617,8 +619,9 @@ fn integrate_segment(
             let err_ratio = work.error_ratio(x, opts.rtol, opts.atol);
             if err_ratio <= 1.0 {
                 x.copy_from_slice(&work.y_new);
-                // the state moved: the next step needs a fresh Jacobian
-                work.invalidate();
+                // the state moved: the next step needs a fresh Jacobian,
+                // and starts from this step's last-stage derivative
+                work.accept();
                 // 2nd-order method: 0.9·err^(−1/3) controller
                 let grow = if err_ratio > 0.0 {
                     0.9 * err_ratio.powf(-1.0 / 3.0)

@@ -14,16 +14,23 @@
 //!   ([`CompiledCrn::jacobian_sparse`]) and `W = I − h·d·J` is assembled
 //!   by scattering only the nonzeros — no dense Jacobian is ever formed;
 //! * the linear algebra exploits that W's sparsity pattern is *fixed*
-//!   across the whole simulation: a one-time symbolic analysis
-//!   ([`Symbolic`]) closes the pattern under the fill-in of Gaussian
-//!   elimination, and the per-step numeric factorization and the three
-//!   triangular solves then visit only structural nonzeros (a few percent
-//!   of the dense positions on the counter networks). The factorization
-//!   runs without pivoting — at the step sizes the controller accepts,
+//!   across the whole simulation. A one-time symbolic analysis
+//!   ([`Symbolic`]) orders the species by minimum degree, closes the
+//!   pattern under the fill-in of Gaussian elimination, and lays the
+//!   factor out *packed*: each row of the permuted matrix holds its L
+//!   entries, its diagonal and its U entries contiguously (857 slots on
+//!   the 3-bit counter, against 9,801 dense positions). It also
+//!   precomputes the slot every Jacobian nonzero, multiplier and row
+//!   update lands in, so assembling `W` zeroes and scatters only the
+//!   packed array, and the numeric factorization and the three
+//!   triangular solves touch nothing else. The factorization runs
+//!   without pivoting — at the step sizes the controller accepts,
 //!   `W = I − h·d·J` is dominated by its unit diagonal — but every pivot
 //!   and multiplier is checked against a stability guard, and a step
 //!   whose elimination misbehaves transparently falls back to the
-//!   pivoted dense LU ([`Lu`], slice-based and vectorized);
+//!   pivoted dense LU ([`Lu`], slice-based and vectorized). Its `n×n`
+//!   buffer is allocated on the first guard trip, so a run whose guard
+//!   never trips never holds one;
 //! * all scratch, including the symbolic structure, lives in
 //!   [`RosenbrockWork`] and is reused across steps, segments and whole
 //!   simulations.
@@ -35,6 +42,15 @@
 //! current Jacobian, and a lagged one inflates the embedded error
 //! estimate into reject-and-retry cycles that cost more than the skipped
 //! evaluations save.
+//!
+//! The right-hand side is evaluated at most twice per step. ode23s is
+//! first-same-as-last: its last stage evaluates `f(y_new)`, and the next
+//! step's first stage needs `f(y)` at the accepted state — the same bits,
+//! because [`CompiledCrn::derivative`] clamps negative concentrations to
+//! zero exactly as the post-step projection does. So an accepted step
+//! hands its last-stage derivative to the next step, and a rejected one
+//! keeps its first-stage derivative for the retry; only an injection, a
+//! trigger firing or a recycled workspace forces a fresh evaluation.
 
 // Index loops mirror the textbook linear-algebra formulas.
 #![allow(clippy::needless_range_loop)]
@@ -53,9 +69,12 @@ pub(crate) const C32: f64 = 7.414213562373095; // 6 + √2
 /// practice.
 const MULTIPLIER_GUARD: f64 = 1e4;
 
-/// Dense LU factorization with partial pivoting (row-major `n×n`).
-/// The fallback backend when the no-pivot sparse elimination trips its
-/// stability guard, and the reference the sparse path is tested against.
+/// Dense LU factorization with partial pivoting (row-major `n×n`),
+/// factored in place. The fallback backend when the no-pivot sparse
+/// elimination trips its stability guard, and the reference the sparse
+/// path is tested against. An empty `Lu` holds no storage; the first
+/// factorization allocates it and later ones reuse it.
+#[derive(Default)]
 pub(crate) struct Lu {
     lu: Vec<f64>,
     pivots: Vec<usize>,
@@ -63,17 +82,25 @@ pub(crate) struct Lu {
 }
 
 impl Lu {
-    /// Factors `a` in place, reusing `pivots` as the permutation storage.
-    /// Returns both buffers untouched as the error value for a
-    /// (numerically) singular matrix, so callers can recover them instead
-    /// of re-allocating.
-    pub(crate) fn factor(
-        mut a: Vec<f64>,
-        mut pivots: Vec<usize>,
-        n: usize,
-    ) -> Result<Lu, (Vec<f64>, Vec<usize>)> {
-        pivots.clear();
-        pivots.resize(n, 0);
+    /// Assembles `W = I − h·d·J` (`hd = h·D`) unpermuted into this
+    /// factor's `n×n` buffer and factors it with partial pivoting.
+    /// Returns `false` when `W` is numerically singular.
+    pub(crate) fn factor_w(&mut self, compiled: &CompiledCrn, jac_vals: &[f64], hd: f64) -> bool {
+        let n = compiled.species_count();
+        self.n = n;
+        self.lu.resize(n * n, 0.0);
+        assemble_w(compiled, jac_vals, hd, &mut self.lu);
+        self.factor()
+    }
+
+    /// Factors the row-major `n×n` matrix in `self.lu` in place. Returns
+    /// `false` — leaving it partially eliminated — for a (numerically)
+    /// singular matrix.
+    fn factor(&mut self) -> bool {
+        let n = self.n;
+        let a = &mut self.lu;
+        self.pivots.clear();
+        self.pivots.resize(n, 0);
         for col in 0..n {
             // pivot search
             let mut pivot_row = col;
@@ -86,9 +113,9 @@ impl Lu {
                 }
             }
             if best < 1e-300 {
-                return Err((a, pivots));
+                return false;
             }
-            pivots[col] = pivot_row;
+            self.pivots[col] = pivot_row;
             if pivot_row != col {
                 for k in 0..n {
                     a.swap(col * n + k, pivot_row * n + k);
@@ -109,7 +136,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu: a, pivots, n })
+        true
     }
 
     /// Solves `A·x = b` in place.
@@ -137,11 +164,6 @@ impl Lu {
             }
             b[row] = acc / self.lu[row * n + row];
         }
-    }
-
-    /// Releases the factor and pivot storage for reuse as scratch.
-    pub(crate) fn into_buffers(self) -> (Vec<f64>, Vec<usize>) {
-        (self.lu, self.pivots)
     }
 }
 
@@ -196,13 +218,20 @@ fn min_degree_order(n: usize, pat: &[bool]) -> Vec<usize> {
 /// One-time symbolic factorization of `W = I − h·d·J`: a fill-reducing
 /// (minimum-degree) symmetric permutation of the Jacobian pattern plus
 /// the diagonal, closed under the fill-in of Gaussian elimination in the
-/// permuted order. The numeric factorization and the triangular solves
-/// iterate over these index lists instead of scanning dense rows, so
-/// their cost scales with structural nonzeros, not with `n²`/`n³`.
+/// permuted order, and the packed layout of the factor.
+///
+/// Row `k` of the factored matrix `W' = P·W·Pᵀ` occupies the slots
+/// `row_ptr[k]..row_ptr[k + 1]` of one flat array: its L entries in
+/// ascending column order, then its diagonal at `diag[k]`, then its U
+/// entries in ascending column order. Three precomputed slot lists drive
+/// the numeric phases, so `assemble`, `factor` and `solve` never search
+/// and never touch a position outside the elimination structure; their
+/// cost scales with structural nonzeros, not with `n²`/`n³`.
 pub(crate) struct Symbolic {
     n: usize,
     /// Copy of the source Jacobian pattern — the compatibility key that
-    /// decides whether a recycled workspace still matches a network.
+    /// decides whether a recycled workspace still matches a network, and
+    /// the row structure the assemble scatter walks.
     src_row_ptr: Vec<usize>,
     src_col_idx: Vec<usize>,
     /// `perm[k]` = the original index eliminated at step `k`; `pinv` is
@@ -210,24 +239,23 @@ pub(crate) struct Symbolic {
     /// `W'[k, l] = W[perm[k], perm[l]]`.
     perm: Vec<usize>,
     pinv: Vec<usize>,
-    /// For each pivot column `k`: rows `i > k` with a (filled) nonzero at
-    /// `(i, k)` — the L column pattern driving the elimination.
+    /// Packed row pointers of `W'` (`n + 1` long).
+    row_ptr: Vec<usize>,
+    /// The slot of each row's diagonal.
+    diag: Vec<usize>,
+    /// The column of each packed slot.
+    col: Vec<usize>,
+    /// The packed slot of each Jacobian CSR nonzero.
+    jac_slot: Vec<usize>,
+    /// For each pivot column `k`: the slots of `(i, k)` for the rows
+    /// `i > k` with a (filled) nonzero there, ascending in `i` — the
+    /// multipliers of the elimination.
     below_ptr: Vec<usize>,
-    below_idx: Vec<usize>,
-    /// For each row `k`: columns `j > k` with a (filled) nonzero — the U
-    /// row pattern, shared by the update loop and back substitution.
-    right_ptr: Vec<usize>,
-    right_idx: Vec<usize>,
-    /// For each row `i`: columns `j < i` with a (filled) nonzero — the L
-    /// row pattern, used in forward substitution.
-    lrow_ptr: Vec<usize>,
-    lrow_idx: Vec<usize>,
-    /// Permuted dense positions inside the elimination structure that the
-    /// assemble scatter does not write (fill-in slots plus pattern-absent
-    /// diagonals). The unmasked assemble zeroes exactly these instead of
-    /// wiping all `n²` entries — everything the factorization and the
-    /// solves read is either scattered or on this list.
-    fill_idx: Vec<usize>,
+    below_slot: Vec<usize>,
+    /// For each `(k, i)` pair in elimination order: the destination slots
+    /// of row `i`'s update, one per U entry of pivot row `k` in ascending
+    /// column order.
+    update_slot: Vec<usize>,
 }
 
 impl Symbolic {
@@ -269,51 +297,76 @@ impl Symbolic {
                 }
             }
         }
-        let mut written = vec![false; n * n];
-        for i in 0..n {
-            for s in row_ptr[i]..row_ptr[i + 1] {
-                written[pinv[i] * n + pinv[col_idx[s]]] = true;
-            }
-        }
-        let fill_idx: Vec<usize> = (0..n * n).filter(|&p| pat[p] && !written[p]).collect();
+        // the packed rows: every structural column of row k, ascending,
+        // so the diagonal falls between the L and the U entries
         let mut sym = Symbolic {
             n,
             src_row_ptr: row_ptr.to_vec(),
             src_col_idx: col_idx.to_vec(),
             perm,
             pinv,
-            below_ptr: Vec::with_capacity(n + 1),
-            below_idx: Vec::new(),
-            right_ptr: Vec::with_capacity(n + 1),
-            right_idx: Vec::new(),
-            lrow_ptr: Vec::with_capacity(n + 1),
-            lrow_idx: Vec::new(),
-            fill_idx,
+            row_ptr: Vec::with_capacity(n + 1),
+            diag: Vec::with_capacity(n),
+            col: Vec::new(),
+            jac_slot: Vec::with_capacity(col_idx.len()),
+            below_ptr: Vec::new(),
+            below_slot: Vec::new(),
+            update_slot: Vec::new(),
         };
-        sym.below_ptr.push(0);
-        sym.right_ptr.push(0);
-        sym.lrow_ptr.push(0);
+        sym.row_ptr.push(0);
+        for k in 0..n {
+            for j in 0..n {
+                if pat[k * n + j] {
+                    if j == k {
+                        sym.diag.push(sym.col.len());
+                    }
+                    sym.col.push(j);
+                }
+            }
+            sym.row_ptr.push(sym.col.len());
+        }
+        // the slot lists, each slot looked up in its packed row
+        for i in 0..n {
+            for s in row_ptr[i]..row_ptr[i + 1] {
+                let slot = sym.slot(sym.pinv[i], sym.pinv[col_idx[s]]);
+                sym.jac_slot.push(slot);
+            }
+        }
+        // the multipliers and row updates, in elimination order
+        let (mut below_ptr, mut below_slot, mut update_slot) = (vec![0], Vec::new(), Vec::new());
         for k in 0..n {
             for i in (k + 1)..n {
                 if pat[i * n + k] {
-                    sym.below_idx.push(i);
+                    below_slot.push(sym.slot(i, k));
+                    update_slot.extend(sym.urow(k).iter().map(|&j| sym.slot(i, j)));
                 }
             }
-            sym.below_ptr.push(sym.below_idx.len());
-            for j in (k + 1)..n {
-                if pat[k * n + j] {
-                    sym.right_idx.push(j);
-                }
-            }
-            sym.right_ptr.push(sym.right_idx.len());
-            for j in 0..k {
-                if pat[k * n + j] {
-                    sym.lrow_idx.push(j);
-                }
-            }
-            sym.lrow_ptr.push(sym.lrow_idx.len());
+            below_ptr.push(below_slot.len());
         }
+        sym.below_ptr = below_ptr;
+        sym.below_slot = below_slot;
+        sym.update_slot = update_slot;
         sym
+    }
+
+    /// The packed slot of `(i, j)` in `W'`; the entry must lie inside the
+    /// elimination structure.
+    fn slot(&self, i: usize, j: usize) -> usize {
+        let row = &self.col[self.row_ptr[i]..self.row_ptr[i + 1]];
+        self.row_ptr[i]
+            + row
+                .binary_search(&j)
+                .expect("the fill closure contains every entry the elimination reaches")
+    }
+
+    /// The U columns of row `k`: `j > k`, ascending.
+    fn urow(&self, k: usize) -> &[usize] {
+        &self.col[self.diag[k] + 1..self.row_ptr[k + 1]]
+    }
+
+    /// Length of the packed factor array.
+    pub(crate) fn packed_len(&self) -> usize {
+        self.col.len()
     }
 
     /// Whether this symbolic analysis was built for exactly `compiled`'s
@@ -325,54 +378,56 @@ impl Symbolic {
             && self.src_col_idx.as_slice() == col_idx
     }
 
-    /// Scatters `W' = P·(I − h·d·J)·Pᵀ` over the permuted Jacobian
-    /// pattern into the dense scratch matrix `w` (`hd = h·D`).
-    pub(crate) fn assemble(
-        &self,
-        compiled: &CompiledCrn,
-        jac_vals: &[f64],
-        hd: f64,
-        w: &mut [f64],
-    ) {
-        let n = self.n;
+    /// Scatters `W' = P·(I − h·d·J)·Pᵀ` into the packed array `w`
+    /// (`hd = h·D`, `jac_vals` aligned with the Jacobian CSR pattern):
+    /// zeroes `w`, then writes every Jacobian nonzero and adds the unit
+    /// diagonal, row by row.
+    pub(crate) fn assemble(&self, jac_vals: &[f64], hd: f64, w: &mut [f64]) {
         w.fill(0.0);
-        let (row_ptr, col_idx) = compiled.jacobian_pattern();
-        for i in 0..n {
-            let base = self.pinv[i] * n;
-            for s in row_ptr[i]..row_ptr[i + 1] {
-                w[base + self.pinv[col_idx[s]]] = -hd * jac_vals[s];
+        for i in 0..self.n {
+            for s in self.src_row_ptr[i]..self.src_row_ptr[i + 1] {
+                w[self.jac_slot[s]] = -hd * jac_vals[s];
             }
-            w[base + self.pinv[i]] += 1.0;
+            w[self.diag[self.pinv[i]]] += 1.0;
         }
     }
 
-    /// No-pivot numeric LU of `a` (dense row-major storage, zero outside
-    /// the unfilled pattern) over the precomputed structure. On success
-    /// the unit-lower L and U overwrite `a` in place. Returns `false` —
-    /// leaving `a` partially eliminated — when a pivot vanishes or a
-    /// multiplier exceeds [`MULTIPLIER_GUARD`]; the caller then rebuilds
-    /// `W` and falls back to the pivoted dense [`Lu`].
+    /// No-pivot numeric LU of the packed `a` over the precomputed
+    /// structure, right-looking: for each pivot `k`, each row
+    /// `i ∈ below(k)` gets its multiplier and, when that is nonzero, the
+    /// update by pivot row `k`'s U entries. On success the unit-lower L
+    /// and U overwrite `a` in place. Returns `false` — leaving `a`
+    /// partially eliminated — when a pivot vanishes or a multiplier
+    /// exceeds [`MULTIPLIER_GUARD`]; the caller then falls back to the
+    /// pivoted dense [`Lu`].
     // The negated comparisons are deliberate: they send NaN pivots and
     // multipliers down the bail-out path too.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub(crate) fn factor(&self, a: &mut [f64]) -> bool {
-        let n = self.n;
-        for k in 0..n {
-            let piv = a[k * n + k];
+        let mut updates = self.update_slot.as_slice();
+        for k in 0..self.n {
+            let piv = a[self.diag[k]];
             if !(piv.abs() > 1e-300) {
                 return false;
             }
             let inv = 1.0 / piv;
-            let right = &self.right_idx[self.right_ptr[k]..self.right_ptr[k + 1]];
-            for &i in &self.below_idx[self.below_ptr[k]..self.below_ptr[k + 1]] {
-                let m = a[i * n + k] * inv;
+            // every row i > k lies after row k, so the pivot row's U
+            // entries are read from one side of the split and the
+            // multipliers and updates written on the other
+            let base = self.row_ptr[k + 1];
+            let (head, tail) = a.split_at_mut(base);
+            let pivot_u = &head[self.diag[k] + 1..];
+            for &s in &self.below_slot[self.below_ptr[k]..self.below_ptr[k + 1]] {
+                let m = tail[s - base] * inv;
                 if !(m.abs() <= MULTIPLIER_GUARD) {
                     return false;
                 }
-                a[i * n + k] = m;
+                tail[s - base] = m;
+                let (dst, rest) = updates.split_at(pivot_u.len());
+                updates = rest;
                 if m != 0.0 {
-                    for &j in right {
-                        a[i * n + j] -= m * a[k * n + j];
+                    for (&d, &p) in dst.iter().zip(pivot_u) {
+                        tail[d - base] -= m * p;
                     }
                 }
             }
@@ -381,9 +436,10 @@ impl Symbolic {
     }
 
     /// Solves `W·x = b` in place against a factor produced by
-    /// [`Symbolic::factor`], visiting only structural nonzeros. `b` is in
-    /// original species order; `scratch` (length `n`) holds the permuted
-    /// right-hand side while the triangular solves run.
+    /// [`Symbolic::factor`], by row-oriented forward and back
+    /// substitution over the packed rows. `b` is in original species
+    /// order; `scratch` (length `n`) holds the permuted right-hand side
+    /// while the triangular solves run.
     pub(crate) fn solve(&self, a: &[f64], b: &mut [f64], scratch: &mut [f64]) {
         let n = self.n;
         // W'·(P·x) = P·b
@@ -392,19 +448,21 @@ impl Symbolic {
         }
         // forward substitution (unit lower triangle)
         for i in 1..n {
+            let (lo, d) = (self.row_ptr[i], self.diag[i]);
             let mut acc = scratch[i];
-            for &j in &self.lrow_idx[self.lrow_ptr[i]..self.lrow_ptr[i + 1]] {
-                acc -= a[i * n + j] * scratch[j];
+            for (&l, &j) in a[lo..d].iter().zip(&self.col[lo..d]) {
+                acc -= l * scratch[j];
             }
             scratch[i] = acc;
         }
         // back substitution
         for i in (0..n).rev() {
+            let (d, hi) = (self.diag[i], self.row_ptr[i + 1]);
             let mut acc = scratch[i];
-            for &j in &self.right_idx[self.right_ptr[i]..self.right_ptr[i + 1]] {
-                acc -= a[i * n + j] * scratch[j];
+            for (&u, &j) in a[d + 1..hi].iter().zip(&self.col[d + 1..hi]) {
+                acc -= u * scratch[j];
             }
-            scratch[i] = acc / a[i * n + i];
+            scratch[i] = acc / a[d];
         }
         for k in 0..n {
             b[self.perm[k]] = scratch[k];
@@ -413,16 +471,15 @@ impl Symbolic {
 
     /// Multi-lane [`assemble`](Self::assemble): `jac_vals` holds `width`
     /// lanes of Jacobian nonzeros (slot-major, lane-contiguous), `hd` the
-    /// per-lane `h·D`, and `w` the `n×n×width` matrix block (entry-major,
-    /// lane-contiguous). Only lanes with `need[l]` set are written; the
-    /// others keep their cached factor bits untouched. When the caller
-    /// can prove no lane's cached bits will ever be read again (`all` —
-    /// every lane is either needed now or retired) the per-lane selects
-    /// collapse to plain full-width writes; needed lanes receive
+    /// per-lane `h·D`, and `w` the packed `W` block (`packed_len × width`,
+    /// slot-major, lane-contiguous). Only lanes with `need[l]` set are
+    /// written; the others keep their cached factor bits untouched. When
+    /// the caller can prove no lane's cached bits will ever be read again
+    /// (`all` — every lane is either needed now or retired) the per-lane
+    /// selects collapse to plain full-width writes; needed lanes receive
     /// bit-identical values either way.
     pub(crate) fn assemble_batch(
         &self,
-        compiled: &CompiledCrn,
         jac_vals: &[f64],
         hd: &[f64],
         need: &[bool],
@@ -433,37 +490,30 @@ impl Symbolic {
         // vectorize with a compile-time trip count (WDC = 0 keeps one
         // dynamic-width body for everything else)
         match hd.len() {
-            2 => self.assemble_batch_impl::<2>(compiled, jac_vals, hd, need, all, w),
-            4 => self.assemble_batch_impl::<4>(compiled, jac_vals, hd, need, all, w),
-            8 => self.assemble_batch_impl::<8>(compiled, jac_vals, hd, need, all, w),
-            16 => self.assemble_batch_impl::<16>(compiled, jac_vals, hd, need, all, w),
-            32 => self.assemble_batch_impl::<32>(compiled, jac_vals, hd, need, all, w),
-            _ => self.assemble_batch_impl::<0>(compiled, jac_vals, hd, need, all, w),
+            2 => self.assemble_batch_impl::<2>(jac_vals, hd, need, all, w),
+            4 => self.assemble_batch_impl::<4>(jac_vals, hd, need, all, w),
+            8 => self.assemble_batch_impl::<8>(jac_vals, hd, need, all, w),
+            16 => self.assemble_batch_impl::<16>(jac_vals, hd, need, all, w),
+            32 => self.assemble_batch_impl::<32>(jac_vals, hd, need, all, w),
+            _ => self.assemble_batch_impl::<0>(jac_vals, hd, need, all, w),
         }
     }
 
     #[inline(always)]
     fn assemble_batch_impl<const WDC: usize>(
         &self,
-        compiled: &CompiledCrn,
         jac_vals: &[f64],
         hd: &[f64],
         need: &[bool],
         all: bool,
         w: &mut [f64],
     ) {
-        let n = self.n;
         let wd = if WDC == 0 { hd.len() } else { WDC };
         debug_assert_eq!(hd.len(), wd);
         debug_assert_eq!(need.len(), wd);
-        debug_assert_eq!(w.len(), n * n * wd);
+        debug_assert_eq!(w.len(), self.packed_len() * wd);
         if all {
-            // only the slots the factorization/solves read and the
-            // scatter below does not overwrite need zeroing; everything
-            // outside the elimination structure is never read
-            for &p in &self.fill_idx {
-                w[p * wd..(p + 1) * wd].fill(0.0);
-            }
+            w.fill(0.0);
         } else {
             for chunk in w.chunks_exact_mut(wd) {
                 for (x, &nd) in chunk.iter_mut().zip(need) {
@@ -471,11 +521,9 @@ impl Symbolic {
                 }
             }
         }
-        let (row_ptr, col_idx) = compiled.jacobian_pattern();
-        for i in 0..n {
-            let base = self.pinv[i] * n;
-            for s in row_ptr[i]..row_ptr[i + 1] {
-                let dst = (base + self.pinv[col_idx[s]]) * wd;
+        for i in 0..self.n {
+            for s in self.src_row_ptr[i]..self.src_row_ptr[i + 1] {
+                let dst = self.jac_slot[s] * wd;
                 let vals = &jac_vals[s * wd..(s + 1) * wd];
                 let out = &mut w[dst..dst + wd];
                 if all {
@@ -488,7 +536,7 @@ impl Symbolic {
                     }
                 }
             }
-            let dst = (base + self.pinv[i]) * wd;
+            let dst = self.diag[self.pinv[i]] * wd;
             let out = &mut w[dst..dst + wd];
             if all {
                 for x in out.iter_mut() {
@@ -549,15 +597,15 @@ impl Symbolic {
         upd: &mut [bool],
         all: bool,
     ) {
-        let n = self.n;
         let wd = if WDC == 0 { need.len() } else { WDC };
         debug_assert_eq!(need.len(), wd);
-        debug_assert_eq!(a.len(), n * n * wd);
+        debug_assert_eq!(a.len(), self.packed_len() * wd);
         for (o, &nd) in ok.iter_mut().zip(need) {
             *o = nd;
         }
-        for k in 0..n {
-            let kk = (k * n + k) * wd;
+        let mut updates = self.update_slot.as_slice();
+        for k in 0..self.n {
+            let kk = self.diag[k] * wd;
             {
                 let diag = &a[kk..kk + wd];
                 if all {
@@ -580,11 +628,18 @@ impl Symbolic {
                     }
                 }
             }
-            let right = &self.right_idx[self.right_ptr[k]..self.right_ptr[k + 1]];
-            for &i in &self.below_idx[self.below_ptr[k]..self.below_ptr[k + 1]] {
-                let ik = (i * n + k) * wd;
+            // rows i > k lie after row k: read the pivot row's U entries
+            // from one side of the split, write the other
+            let base = self.row_ptr[k + 1];
+            let (head, tail) = a.split_at_mut(base * wd);
+            let pivot_u = &head[kk + wd..];
+            let width = self.row_ptr[k + 1] - self.diag[k] - 1;
+            for &s in &self.below_slot[self.below_ptr[k]..self.below_ptr[k + 1]] {
+                let (dst_slots, rest) = updates.split_at(width);
+                updates = rest;
+                let ik = (s - base) * wd;
                 {
-                    let col = &mut a[ik..ik + wd];
+                    let col = &mut tail[ik..ik + wd];
                     if all {
                         for l in 0..wd {
                             let mm = col[l] * inv[l];
@@ -614,14 +669,9 @@ impl Symbolic {
                 if !upd.iter().any(|&up| up) {
                     continue;
                 }
-                for &j in right {
-                    let kj = (k * n + j) * wd;
-                    let ij = (i * n + j) * wd;
-                    // i > k, so the pivot-row read and the target-row
-                    // write never alias
-                    let (head, tail) = a.split_at_mut(ij);
-                    let src = &head[kj..kj + wd];
-                    let dst = &mut tail[..wd];
+                for (&d, src) in dst_slots.iter().zip(pivot_u.chunks_exact(wd)) {
+                    let ij = (d - base) * wd;
+                    let dst = &mut tail[ij..ij + wd];
                     // the per-lane select stays even in the `all` path:
                     // the scalar factor skips m == 0 row updates, and
                     // `x - 0·s` is not a bitwise no-op (−0.0, inf·0)
@@ -676,7 +726,7 @@ impl Symbolic {
         let n = self.n;
         let wd = if WDC == 0 { write.len() } else { WDC };
         debug_assert_eq!(write.len(), wd);
-        debug_assert_eq!(a.len(), n * n * wd);
+        debug_assert_eq!(a.len(), self.packed_len() * wd);
         debug_assert_eq!(b.len(), n * wd);
         debug_assert_eq!(scratch.len(), n * wd);
         for k in 0..n {
@@ -687,8 +737,9 @@ impl Symbolic {
         for i in 1..n {
             let (lo, hi) = scratch.split_at_mut(i * wd);
             let row = &mut hi[..wd];
-            for &j in &self.lrow_idx[self.lrow_ptr[i]..self.lrow_ptr[i + 1]] {
-                let av = &a[(i * n + j) * wd..(i * n + j + 1) * wd];
+            for s in self.row_ptr[i]..self.diag[i] {
+                let j = self.col[s];
+                let av = &a[s * wd..(s + 1) * wd];
                 let sv = &lo[j * wd..(j + 1) * wd];
                 for ((x, &am), &sm) in row.iter_mut().zip(av).zip(sv) {
                     *x -= am * sm;
@@ -699,15 +750,16 @@ impl Symbolic {
         for i in (0..n).rev() {
             let (lo, hi) = scratch.split_at_mut((i + 1) * wd);
             let row = &mut lo[i * wd..];
-            for &j in &self.right_idx[self.right_ptr[i]..self.right_ptr[i + 1]] {
-                let av = &a[(i * n + j) * wd..(i * n + j + 1) * wd];
+            for s in self.diag[i] + 1..self.row_ptr[i + 1] {
+                let j = self.col[s];
+                let av = &a[s * wd..(s + 1) * wd];
                 let sv = &hi[(j - i - 1) * wd..(j - i) * wd];
                 for ((x, &am), &sm) in row.iter_mut().zip(av).zip(sv) {
                     *x -= am * sm;
                 }
             }
-            let diag = &a[(i * n + i) * wd..(i * n + i + 1) * wd];
-            for (x, &dv) in row.iter_mut().zip(diag) {
+            let d = self.diag[i] * wd;
+            for (x, &dv) in row.iter_mut().zip(&a[d..d + wd]) {
                 *x /= dv;
             }
         }
@@ -726,21 +778,63 @@ impl Symbolic {
     }
 }
 
-/// A factored `W`, ready to back the three stage solves of a step (also
-/// reused by the implicit tau-leaper's Newton solves, whose matrix
-/// `I − τ·ν·(∂a/∂x)` shares the Jacobian pattern).
-pub(crate) enum Factored {
-    /// No-pivot LU over the symbolic pattern; values in dense storage.
-    Sparse(Vec<f64>),
-    /// Pivoted dense LU — the fallback when the stability guard trips.
-    Dense(Lu),
+/// One W-solver's factor storage: the packed no-pivot LU over a
+/// [`Symbolic`] structure, and the pivoted dense fallback [`Lu`], whose
+/// `n×n` buffer is allocated on the first guard trip. The Rosenbrock
+/// stepper, the hybrid engine's fast step and the implicit tau-leaper's
+/// Newton solve each own one; their matrices `I − h·d·J` and
+/// `I − τ·ν·(∂a/∂x)` share the Jacobian pattern.
+pub(crate) struct Factored {
+    packed: Vec<f64>,
+    dense: Lu,
+    /// Whether the current factor is the dense fallback.
+    fell_back: bool,
+    /// Tripped no-pivot guards over this factor's lifetime (monotone;
+    /// owners snapshot-and-subtract to attribute them to one run).
+    fallbacks: u64,
 }
 
 impl Factored {
+    pub(crate) fn new(sym: &Symbolic) -> Self {
+        Factored {
+            packed: vec![0.0; sym.packed_len()],
+            dense: Lu::default(),
+            fell_back: false,
+            fallbacks: 0,
+        }
+    }
+
+    /// Assembles `W = I − hd·J` from the Jacobian nonzeros `jac_vals` and
+    /// factors it: sparse and packed first, and — when the guard trips
+    /// mid-elimination — rebuilt unpermuted and factored with partial
+    /// pivoting. Returns `false` when `W` is singular even for that.
+    pub(crate) fn factor(
+        &mut self,
+        sym: &Symbolic,
+        compiled: &CompiledCrn,
+        jac_vals: &[f64],
+        hd: f64,
+    ) -> bool {
+        sym.assemble(jac_vals, hd, &mut self.packed);
+        self.fell_back = !sym.factor(&mut self.packed);
+        if !self.fell_back {
+            return true;
+        }
+        self.fallbacks += 1;
+        self.dense.factor_w(compiled, jac_vals, hd)
+    }
+
+    pub(crate) fn fallbacks(&self) -> u64 {
+        self.fallbacks
+    }
+
+    /// Solves `W·x = b` in place against the last successful
+    /// [`factor`](Self::factor); `scratch` is `n` long.
     pub(crate) fn solve(&self, sym: &Symbolic, b: &mut [f64], scratch: &mut [f64]) {
-        match self {
-            Factored::Sparse(a) => sym.solve(a, b, scratch),
-            Factored::Dense(lu) => lu.solve(b),
+        if self.fell_back {
+            self.dense.solve(b);
+        } else {
+            sym.solve(&self.packed, b, scratch);
         }
     }
 }
@@ -748,7 +842,7 @@ impl Factored {
 /// Scatters `W = I − h·d·J` over the Jacobian pattern into the dense
 /// scratch matrix `w` (`hd = h·D`), in original (unpermuted) species
 /// order — the layout the pivoted dense fallback factors.
-pub(crate) fn assemble_w(compiled: &CompiledCrn, jac_vals: &[f64], hd: f64, w: &mut [f64]) {
+fn assemble_w(compiled: &CompiledCrn, jac_vals: &[f64], hd: f64, w: &mut [f64]) {
     let n = compiled.species_count();
     w.fill(0.0);
     let (row_ptr, col_idx) = compiled.jacobian_pattern();
@@ -764,7 +858,9 @@ pub(crate) fn assemble_w(compiled: &CompiledCrn, jac_vals: &[f64], hd: f64, w: &
 /// Reusable buffers and cached factorization state for Rosenbrock
 /// stepping. Survives across steps, segments and — via
 /// [`OdeWorkspace`](crate::OdeWorkspace) — across whole simulation calls;
-/// no per-step allocation happens once constructed.
+/// no per-step allocation happens once constructed. `W` lives in a
+/// [`Factored`]: a packed array of [`Symbolic::packed_len`] entries, plus
+/// the dense fallback's `n×n` buffer once a guard has tripped.
 pub(crate) struct RosenbrockWork {
     n: usize,
     /// Elimination structure of `W`'s fixed sparsity pattern.
@@ -773,14 +869,14 @@ pub(crate) struct RosenbrockWork {
     jac_vals: Vec<f64>,
     /// True when `jac_vals` was evaluated at the current state.
     jac_fresh: bool,
-    /// Cached factorization of `W = I − h·d·J` for `lu_h` and the current
-    /// `jac_vals`; `None` when it must be rebuilt.
-    lu: Option<Factored>,
+    /// The factorization of `W = I − h·d·J`; valid for `lu_h` and the
+    /// current `jac_vals` while `lu_valid` holds.
+    lu: Factored,
+    lu_valid: bool,
     lu_h: f64,
-    /// The `n×n` scratch matrix when `lu` does not own it.
-    w_spare: Vec<f64>,
-    /// The pivot permutation buffer when no `Factored::Dense` owns it.
-    pivots_spare: Vec<usize>,
+    /// True when `f0` holds `f(y)` at the current state: evaluated by an
+    /// earlier (rejected) trial, or handed over by the last accepted step.
+    f0_fresh: bool,
     f0: Vec<f64>,
     f1: Vec<f64>,
     f2: Vec<f64>,
@@ -803,16 +899,16 @@ pub(crate) struct RosenbrockWork {
 impl RosenbrockWork {
     pub(crate) fn new(compiled: &CompiledCrn) -> Self {
         let n = compiled.species_count();
-        let nnz = compiled.jacobian_nnz();
+        let sym = Symbolic::new(compiled);
         RosenbrockWork {
             n,
-            sym: Symbolic::new(compiled),
-            jac_vals: vec![0.0; nnz],
+            jac_vals: vec![0.0; compiled.jacobian_nnz()],
             jac_fresh: false,
-            lu: None,
+            lu: Factored::new(&sym),
+            lu_valid: false,
             lu_h: f64::NAN,
-            w_spare: vec![0.0; n * n],
-            pivots_spare: vec![0usize; n],
+            sym,
+            f0_fresh: false,
             f0: vec![0.0; n],
             f1: vec![0.0; n],
             f2: vec![0.0; n],
@@ -834,6 +930,12 @@ impl RosenbrockWork {
         self.factorizations
     }
 
+    /// Cumulative tripped no-pivot guards, counted like
+    /// [`factorizations`](Self::factorizations).
+    pub(crate) fn dense_fallbacks(&self) -> u64 {
+        self.lu.fallbacks()
+    }
+
     /// Whether this workspace (buffer sizes *and* symbolic elimination
     /// structure) was built for `compiled` — the compatibility key for
     /// workspace reuse across simulation calls.
@@ -841,25 +943,24 @@ impl RosenbrockWork {
         self.jac_vals.len() == compiled.jacobian_nnz() && self.sym.matches(compiled)
     }
 
-    /// Forgets the cached Jacobian and factorization. Call whenever the
-    /// state moves (an accepted step, an injection, a trigger firing) or
-    /// when the workspace is recycled for a new simulation: the next step
-    /// then behaves exactly like the first step of a fresh workspace.
+    /// Forgets the cached Jacobian, factorization and first-stage
+    /// derivative. Call whenever the state jumps (an injection, a trigger
+    /// firing) or when the workspace is recycled for a new simulation:
+    /// the next step then behaves exactly like the first step of a fresh
+    /// workspace.
     pub(crate) fn invalidate(&mut self) {
         self.jac_fresh = false;
+        self.f0_fresh = false;
     }
 
-    /// Recovers the `n×n` scratch matrix and pivot buffer from wherever
-    /// they currently live.
-    fn take_w(&mut self) -> (Vec<f64>, Vec<usize>) {
-        match self.lu.take() {
-            Some(Factored::Sparse(a)) => (a, std::mem::take(&mut self.pivots_spare)),
-            Some(Factored::Dense(lu)) => lu.into_buffers(),
-            None => (
-                std::mem::take(&mut self.w_spare),
-                std::mem::take(&mut self.pivots_spare),
-            ),
-        }
+    /// Accepts the last trial step: the caller's state moves to `y_new`
+    /// (projected onto the non-negative orthant). The next step needs a
+    /// fresh Jacobian, but its first-stage derivative is this step's last
+    /// one.
+    pub(crate) fn accept(&mut self) {
+        self.jac_fresh = false;
+        std::mem::swap(&mut self.f0, &mut self.f2);
+        self.f0_fresh = true;
     }
 
     /// One ode23s trial step of size `h` from `y`. Fills `y_new` and
@@ -867,58 +968,39 @@ impl RosenbrockWork {
     /// should shrink the step).
     ///
     /// The Jacobian is re-evaluated unless it was evaluated at `y` by an
-    /// earlier (rejected) trial since the last
-    /// [`invalidate`](Self::invalidate); the LU factorization is
-    /// additionally reused when `h` is bit-identical to the cached one.
+    /// earlier (rejected) trial since the last state change; the LU
+    /// factorization is additionally reused when `h` is bit-identical to
+    /// the cached one, and the first-stage derivative whenever it is
+    /// fresh.
     pub(crate) fn step(&mut self, compiled: &CompiledCrn, y: &[f64], h: f64) -> bool {
         let n = self.n;
         if !self.jac_fresh {
             compiled.jacobian_sparse(y, &mut self.jac_vals);
             self.jac_fresh = true;
             // any cached factorization was built from the old values
-            match self.lu.take() {
-                Some(Factored::Sparse(a)) => self.w_spare = a,
-                Some(Factored::Dense(lu)) => {
-                    (self.w_spare, self.pivots_spare) = lu.into_buffers();
-                }
-                None => {}
-            }
+            self.lu_valid = false;
         }
-        if self.lu.is_none() || self.lu_h != h {
-            let (mut w, pivots) = self.take_w();
-            let hd = h * D;
-            self.sym.assemble(compiled, &self.jac_vals, hd, &mut w);
-            if self.sym.factor(&mut w) {
-                self.lu = Some(Factored::Sparse(w));
-                self.pivots_spare = pivots;
-                self.lu_h = h;
-                self.factorizations += 1;
-            } else {
-                // the guard tripped mid-elimination and clobbered `w`:
-                // rebuild it — unpermuted this time — and fall back to
-                // the pivoted factorization
-                assemble_w(compiled, &self.jac_vals, hd, &mut w);
-                match Lu::factor(w, pivots, n) {
-                    Ok(lu) => {
-                        self.lu = Some(Factored::Dense(lu));
-                        self.lu_h = h;
-                        self.factorizations += 1;
-                    }
-                    Err((buf, pivots)) => {
-                        self.w_spare = buf;
-                        self.pivots_spare = pivots;
-                        // retry from an exact Jacobian at the smaller step
-                        self.jac_fresh = false;
-                        return false;
-                    }
-                }
+        if !self.lu_valid || self.lu_h != h {
+            if !self.lu.factor(&self.sym, compiled, &self.jac_vals, h * D) {
+                self.lu_valid = false;
+                // retry from an exact Jacobian at the smaller step
+                self.jac_fresh = false;
+                return false;
             }
+            self.lu_valid = true;
+            self.lu_h = h;
+            self.factorizations += 1;
         }
-        let lu = self.lu.take().expect("factored above");
 
-        compiled.derivative(y, &mut self.f0);
+        if self.f0_fresh {
+            #[cfg(debug_assertions)]
+            self.assert_f0_fresh(compiled, y);
+        } else {
+            compiled.derivative(y, &mut self.f0);
+            self.f0_fresh = true;
+        }
         self.k1.copy_from_slice(&self.f0);
-        lu.solve(&self.sym, &mut self.k1, &mut self.bperm);
+        self.lu.solve(&self.sym, &mut self.k1, &mut self.bperm);
 
         for i in 0..n {
             self.ytmp[i] = y[i] + 0.5 * h * self.k1[i];
@@ -927,7 +1009,7 @@ impl RosenbrockWork {
         for i in 0..n {
             self.k2[i] = self.f1[i] - self.k1[i];
         }
-        lu.solve(&self.sym, &mut self.k2, &mut self.bperm);
+        self.lu.solve(&self.sym, &mut self.k2, &mut self.bperm);
         for i in 0..n {
             self.k2[i] += self.k1[i];
         }
@@ -940,14 +1022,25 @@ impl RosenbrockWork {
             self.k3[i] =
                 self.f2[i] - C32 * (self.k2[i] - self.f1[i]) - 2.0 * (self.k1[i] - self.f0[i]);
         }
-        lu.solve(&self.sym, &mut self.k3, &mut self.bperm);
+        self.lu.solve(&self.sym, &mut self.k3, &mut self.bperm);
 
         for i in 0..n {
             self.err[i] = h / 6.0 * (self.k1[i] - 2.0 * self.k2[i] + self.k3[i]);
         }
-        // keep the factorization for possible reuse at the same h
-        self.lu = Some(lu);
         true
+    }
+
+    /// A reused first-stage derivative must be the bits a fresh
+    /// evaluation at `y` gives (`f1` is scratch until the second stage).
+    #[cfg(debug_assertions)]
+    fn assert_f0_fresh(&mut self, compiled: &CompiledCrn, y: &[f64]) {
+        compiled.derivative(y, &mut self.f1);
+        for (i, (&cached, &fresh)) in self.f0.iter().zip(&self.f1).enumerate() {
+            assert!(
+                cached.to_bits() == fresh.to_bits(),
+                "reused f(y) of species {i} is {cached}, a fresh evaluation gives {fresh}"
+            );
+        }
     }
 
     /// Max over components of `|err| / (atol + rtol·max(|y|, |y_new|))`.
@@ -961,17 +1054,114 @@ impl RosenbrockWork {
     }
 }
 
+/// The no-pivot elimination in dense row-major `n×n` storage, over the
+/// same symbolic structure and in the same operation order: the layout
+/// the packed factor replaced, kept as the oracle the packed `assemble`,
+/// `factor` and `solve` must reproduce bit for bit.
+#[cfg(test)]
+mod dense_reference {
+    use super::{Symbolic, MULTIPLIER_GUARD};
+
+    /// The L columns of row `i`: `j < i`, ascending.
+    pub(super) fn lrow(sym: &Symbolic, i: usize) -> &[usize] {
+        &sym.col[sym.row_ptr[i]..sym.diag[i]]
+    }
+
+    /// Rows `i > k` with a (filled) nonzero at `(i, k)`, ascending.
+    pub(super) fn below_rows(sym: &Symbolic, k: usize) -> Vec<usize> {
+        (k + 1..sym.n)
+            .filter(|&i| lrow(sym, i).binary_search(&k).is_ok())
+            .collect()
+    }
+
+    pub(super) fn assemble(sym: &Symbolic, jac_vals: &[f64], hd: f64, w: &mut [f64]) {
+        let n = sym.n;
+        w.fill(0.0);
+        for i in 0..n {
+            let base = sym.pinv[i] * n;
+            for s in sym.src_row_ptr[i]..sym.src_row_ptr[i + 1] {
+                w[base + sym.pinv[sym.src_col_idx[s]]] = -hd * jac_vals[s];
+            }
+            w[base + sym.pinv[i]] += 1.0;
+        }
+    }
+
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    pub(super) fn factor(sym: &Symbolic, a: &mut [f64]) -> bool {
+        let n = sym.n;
+        for k in 0..n {
+            let piv = a[k * n + k];
+            if !(piv.abs() > 1e-300) {
+                return false;
+            }
+            let inv = 1.0 / piv;
+            let right = sym.urow(k);
+            for i in below_rows(sym, k) {
+                let m = a[i * n + k] * inv;
+                if !(m.abs() <= MULTIPLIER_GUARD) {
+                    return false;
+                }
+                a[i * n + k] = m;
+                if m != 0.0 {
+                    for &j in right {
+                        a[i * n + j] -= m * a[k * n + j];
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    pub(super) fn solve(sym: &Symbolic, a: &[f64], b: &mut [f64], scratch: &mut [f64]) {
+        let n = sym.n;
+        for k in 0..n {
+            scratch[k] = b[sym.perm[k]];
+        }
+        for i in 1..n {
+            let mut acc = scratch[i];
+            for &j in lrow(sym, i) {
+                acc -= a[i * n + j] * scratch[j];
+            }
+            scratch[i] = acc;
+        }
+        for i in (0..n).rev() {
+            let mut acc = scratch[i];
+            for &j in sym.urow(i) {
+                acc -= a[i * n + j] * scratch[j];
+            }
+            scratch[i] = acc / a[i * n + i];
+        }
+        for k in 0..n {
+            b[sym.perm[k]] = scratch[k];
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{SimSpec, State};
     use molseq_crn::{Crn, Rate};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// Factors the row-major `n×n` matrix `a` with partial pivoting.
+    fn dense_lu(a: Vec<f64>, n: usize) -> (Lu, bool) {
+        let mut lu = Lu {
+            lu: a,
+            pivots: Vec::new(),
+            n,
+        };
+        let ok = lu.factor();
+        (lu, ok)
+    }
 
     #[test]
     fn lu_solves_a_known_system() {
         // A = [[2, 1], [1, 3]], b = [5, 10] → x = [1, 3]
-        let a = vec![2.0, 1.0, 1.0, 3.0];
-        let lu = Lu::factor(a, Vec::new(), 2).unwrap_or_else(|_| panic!("nonsingular"));
+        let (lu, ok) = dense_lu(vec![2.0, 1.0, 1.0, 3.0], 2);
+        assert!(ok, "nonsingular");
         let mut b = vec![5.0, 10.0];
         lu.solve(&mut b);
         assert!((b[0] - 1.0).abs() < 1e-12);
@@ -981,9 +1171,8 @@ mod tests {
     #[test]
     fn lu_needs_pivoting() {
         // zero on the diagonal forces a row swap
-        let a = vec![0.0, 1.0, 1.0, 0.0];
-        let lu =
-            Lu::factor(a, Vec::new(), 2).unwrap_or_else(|_| panic!("nonsingular with pivoting"));
+        let (lu, ok) = dense_lu(vec![0.0, 1.0, 1.0, 0.0], 2);
+        assert!(ok, "nonsingular with pivoting");
         let mut b = vec![2.0, 3.0];
         lu.solve(&mut b);
         assert!((b[0] - 3.0).abs() < 1e-12);
@@ -991,11 +1180,9 @@ mod tests {
     }
 
     #[test]
-    fn lu_detects_singular_and_returns_the_buffer() {
-        let a = vec![1.0, 2.0, 2.0, 4.0];
-        let (buf, pivots) = Lu::factor(a, Vec::new(), 2).err().expect("singular");
-        assert_eq!(buf.len(), 4);
-        assert_eq!(pivots.len(), 2);
+    fn lu_detects_singular() {
+        let (_, ok) = dense_lu(vec![1.0, 2.0, 2.0, 4.0], 2);
+        assert!(!ok);
     }
 
     /// A star network whose hub species couples to every leaf: eliminating
@@ -1023,18 +1210,20 @@ mod tests {
         let compiled = CompiledCrn::new(&crn, &SimSpec::default());
         let n = compiled.species_count();
         let sym = Symbolic::new(&compiled);
+        assert!(sym.packed_len() < n * n, "the star fills, but not densely");
 
         let x: Vec<f64> = (0..n).map(|i| 1.5 + i as f64).collect();
         let mut jac_vals = vec![0.0; compiled.jacobian_nnz()];
         compiled.jacobian_sparse(&x, &mut jac_vals);
         // the sparse path factors the permuted W, the dense reference the
         // unpermuted one; both solve the same original-order system
-        let mut wp = vec![0.0; n * n];
-        sym.assemble(&compiled, &jac_vals, 1e-4 * D, &mut wp);
-        let mut wd = vec![0.0; n * n];
-        assemble_w(&compiled, &jac_vals, 1e-4 * D, &mut wd);
-
-        let dense = Lu::factor(wd, Vec::new(), n).unwrap_or_else(|_| panic!("nonsingular"));
+        let mut wp = vec![0.0; sym.packed_len()];
+        sym.assemble(&jac_vals, 1e-4 * D, &mut wp);
+        let mut dense = Lu::default();
+        assert!(
+            dense.factor_w(&compiled, &jac_vals, 1e-4 * D),
+            "nonsingular"
+        );
         assert!(sym.factor(&mut wp), "guard must not trip on a tame W");
 
         let b0: Vec<f64> = (0..n).map(|i| (i as f64) - 2.0).collect();
@@ -1048,24 +1237,16 @@ mod tests {
         }
     }
 
-    /// A fully dense 2×2 structure with the identity ordering, so the
-    /// test controls exactly which entry becomes the first pivot.
+    /// A fully dense 2×2 structure with the identity ordering (both
+    /// species have one neighbor; ties eliminate the lower index first),
+    /// so the test controls exactly which entry becomes the first pivot.
+    /// Its packed rows hold the dense row-major order.
     fn dense_2x2_symbolic() -> Symbolic {
-        Symbolic {
-            n: 2,
-            src_row_ptr: vec![0, 2, 4],
-            src_col_idx: vec![0, 1, 0, 1],
-            perm: vec![0, 1],
-            pinv: vec![0, 1],
-            below_ptr: vec![0, 1, 1],
-            below_idx: vec![1],
-            right_ptr: vec![0, 1, 1],
-            right_idx: vec![1],
-            lrow_ptr: vec![0, 0, 1],
-            lrow_idx: vec![0],
-            // fully dense source pattern: the scatter writes every slot
-            fill_idx: vec![],
-        }
+        let crn: Crn = "A + B -> 0 @slow".parse().expect("parses");
+        let sym = Symbolic::new(&CompiledCrn::new(&crn, &SimSpec::default()));
+        assert_eq!(sym.perm, [0, 1]);
+        assert_eq!(sym.col, [0, 1, 0, 1]);
+        sym
     }
 
     #[test]
@@ -1076,10 +1257,30 @@ mod tests {
         let sym = dense_2x2_symbolic();
         let w = vec![1e-9, 1.0, 1.0, 1.0];
         assert!(!sym.factor(&mut w.clone()), "guard must trip");
-        assert!(Lu::factor(w, Vec::new(), 2).is_ok());
+        assert!(dense_lu(w, 2).1);
         // an exactly singular leading pivot is rejected too
         let mut singular = vec![0.0, 1.0, 1.0, 1.0];
         assert!(!sym.factor(&mut singular));
+    }
+
+    /// Every guard trip counts, and the stage solves then run through the
+    /// pivoted fallback: here `W = I − 0.5·J` has a vanishing first pivot.
+    #[test]
+    fn factored_counts_guard_trips_and_solves_through_the_fallback() {
+        let crn: Crn = "A + B -> 0 @slow".parse().expect("parses");
+        let compiled = CompiledCrn::new(&crn, &SimSpec::default());
+        let sym = dense_2x2_symbolic();
+        let mut lu = Factored::new(&sym);
+        let jac = [2.0, 1.0, 1.0, 1.0];
+        assert!(lu.factor(&sym, &compiled, &jac, 0.5));
+        assert_eq!(lu.fallbacks(), 1);
+        let mut b = vec![1.0, 1.0];
+        lu.solve(&sym, &mut b, &mut [0.0; 2]);
+        // [[0, −0.5], [−0.5, 0.5]]·x = [1, 1]
+        assert_eq!(b, [-4.0, -2.0]);
+        // a tame W stays sparse and adds no trip
+        assert!(lu.factor(&sym, &compiled, &jac, 1e-3));
+        assert_eq!(lu.fallbacks(), 1);
     }
 
     #[test]
@@ -1089,6 +1290,235 @@ mod tests {
         let sym = Symbolic::new(&a);
         assert!(sym.matches(&a));
         assert!(!sym.matches(&b));
+    }
+
+    /// `10^u` for `u` uniform in `[lo, hi)`.
+    fn log_uniform(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
+        10f64.powf(lo + (hi - lo) * rng.random::<f64>())
+    }
+
+    fn below(rng: &mut StdRng, n: usize) -> usize {
+        (rng.random::<u64>() % n as u64) as usize
+    }
+
+    /// A random sparse network over `n` species: one or two reactants
+    /// (stoichiometry 1 or 2) and up to two products per reaction, rates
+    /// over five decades. With `hub`, species 0 joins most reactions as
+    /// an extra reactant, the star shape of the clocked circuits.
+    fn random_crn(rng: &mut StdRng, n: usize, hub: bool) -> Crn {
+        let mut crn = Crn::new();
+        let ids: Vec<_> = (0..n).map(|i| crn.species(format!("s{i}"))).collect();
+        for _ in 0..(n + below(rng, 2 * n)) {
+            let mut reactants = vec![(ids[below(rng, n)], 1 + below(rng, 2) as u32)];
+            if rng.random::<f64>() < 0.4 {
+                reactants.push((ids[below(rng, n)], 1));
+            }
+            if hub && rng.random::<f64>() < 0.7 {
+                reactants.push((ids[0], 1));
+            }
+            reactants.sort_by_key(|&(s, _)| s.index());
+            reactants.dedup_by_key(|&mut (s, _)| s.index());
+            let products: Vec<_> = (0..below(rng, 3))
+                .map(|_| (ids[below(rng, n)], 1))
+                .collect();
+            // a rejected draw (say, a reaction with no net change) is
+            // simply skipped
+            let _ = crn.reaction(
+                &reactants,
+                &products,
+                Rate::Fixed(log_uniform(rng, -2.0, 3.0)),
+            );
+        }
+        crn
+    }
+
+    /// A random state with about a fifth of the species at zero.
+    fn random_state(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|_| {
+                if rng.random::<f64>() < 0.2 {
+                    0.0
+                } else {
+                    log_uniform(rng, -3.0, 1.0)
+                }
+            })
+            .collect()
+    }
+
+    fn random_vec(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        (0..n).map(|_| 4.0 * rng.random::<f64>() - 2.0).collect()
+    }
+
+    /// Every packed slot holds the bits of its dense position.
+    fn assert_packed_is_dense(sym: &Symbolic, packed: &[f64], dense: &[f64], what: &str) {
+        for k in 0..sym.n {
+            for s in sym.row_ptr[k]..sym.row_ptr[k + 1] {
+                let d = dense[k * sym.n + sym.col[s]];
+                assert!(
+                    packed[s].to_bits() == d.to_bits(),
+                    "{what}: ({k}, {}) packed {} vs dense {d}",
+                    sym.col[s],
+                    packed[s]
+                );
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Assembles and factors `W` for one random state and step in both
+    /// layouts, checks the factor slot by slot and, unless the guard
+    /// tripped (which it must do on both paths), three solves. Returns
+    /// whether the guard held.
+    fn check_against_reference(
+        rng: &mut StdRng,
+        compiled: &CompiledCrn,
+        sym: &Symbolic,
+        force_trip: bool,
+    ) -> bool {
+        let n = compiled.species_count();
+        let x = random_state(rng, n);
+        let h = 1e-6 * (0.25f64 / 1e-6).powf(rng.random::<f64>());
+        let mut jac = vec![0.0; compiled.jacobian_nnz()];
+        compiled.jacobian_sparse(&x, &mut jac);
+        let mut packed = vec![f64::NAN; sym.packed_len()];
+        let mut dense = vec![f64::NAN; n * n];
+        sym.assemble(&jac, h * D, &mut packed);
+        dense_reference::assemble(sym, &jac, h * D, &mut dense);
+        assert_packed_is_dense(sym, &packed, &dense, "assemble");
+        if force_trip {
+            // a vanishing pivot over a unit entry below it
+            if let Some(k) = (0..n).find(|&k| sym.below_ptr[k + 1] > sym.below_ptr[k]) {
+                let s = sym.below_slot[sym.below_ptr[k]];
+                let i = dense_reference::below_rows(sym, k)[0];
+                packed[sym.diag[k]] = 1e-200;
+                dense[k * n + k] = 1e-200;
+                packed[s] = 1.0;
+                dense[i * n + k] = 1.0;
+            }
+        }
+        let ok = sym.factor(&mut packed);
+        assert_eq!(
+            ok,
+            dense_reference::factor(sym, &mut dense),
+            "guard verdicts"
+        );
+        // a tripped guard leaves both layouts at the same partial state
+        assert_packed_is_dense(sym, &packed, &dense, "factor");
+        if ok {
+            let mut scratch = vec![0.0; n];
+            for _ in 0..3 {
+                let b = random_vec(rng, n);
+                let (mut bp, mut bd) = (b.clone(), b);
+                sym.solve(&packed, &mut bp, &mut scratch);
+                dense_reference::solve(sym, &dense, &mut bd, &mut scratch);
+                assert_eq!(bits(&bp), bits(&bd), "solve");
+            }
+        }
+        ok
+    }
+
+    /// Runs `width` random lanes through the batched kernels — a random
+    /// subset of them needed, the rest holding cached bits — and checks
+    /// every needed lane against the scalar packed kernels and every
+    /// other lane for untouched bits.
+    fn check_batch_against_scalar(
+        rng: &mut StdRng,
+        compiled: &CompiledCrn,
+        sym: &Symbolic,
+        width: usize,
+    ) {
+        let n = compiled.species_count();
+        let nnz = compiled.jacobian_nnz();
+        let p = sym.packed_len();
+        let need: Vec<bool> = (0..width).map(|_| rng.random::<f64>() < 0.75).collect();
+        let all = need.iter().all(|&nd| nd);
+        let hd: Vec<f64> = (0..width)
+            .map(|_| 1e-6 * (0.25f64 / 1e-6).powf(rng.random::<f64>()) * D)
+            .collect();
+        let mut jac = vec![0.0; nnz * width];
+        let mut lane_jac = vec![0.0; nnz];
+        let mut scalar_w: Vec<Vec<f64>> = Vec::new();
+        for l in 0..width {
+            compiled.jacobian_sparse(&random_state(rng, n), &mut lane_jac);
+            crate::batch::store_lane(&mut jac, &lane_jac, width, l);
+            let mut w = vec![0.0; p];
+            sym.assemble(&lane_jac, hd[l], &mut w);
+            let ok = sym.factor(&mut w);
+            scalar_w.push(if ok { w } else { Vec::new() });
+        }
+        let cached = random_vec(rng, p * width);
+        let mut w = cached.clone();
+        let (mut ok, mut upd) = (vec![false; width], vec![false; width]);
+        let (mut inv, mut m) = (vec![0.0; width], vec![0.0; width]);
+        sym.assemble_batch(&jac, &hd, &need, all, &mut w);
+        sym.factor_batch(&mut w, &need, &mut ok, &mut inv, &mut m, &mut upd, all);
+        let mut lane_w = vec![0.0; p];
+        for l in 0..width {
+            crate::batch::extract_lane(&w, &mut lane_w, width, l);
+            if !need[l] {
+                let kept: Vec<f64> = (0..p).map(|s| cached[s * width + l]).collect();
+                assert_eq!(bits(&lane_w), bits(&kept), "unneeded lane {l} moved");
+                continue;
+            }
+            assert_eq!(ok[l], !scalar_w[l].is_empty(), "lane {l} guard verdict");
+            if ok[l] {
+                assert_eq!(bits(&lane_w), bits(&scalar_w[l]), "lane {l} factor");
+            }
+        }
+        let write: Vec<bool> = (0..width).map(|l| need[l] && ok[l]).collect();
+        let all_write = write.iter().all(|&wr| wr);
+        let b0 = random_vec(rng, n * width);
+        let mut b = b0.clone();
+        let mut scratch = vec![0.0; n * width];
+        sym.solve_batch(&w, &mut b, &mut scratch, &write, all_write);
+        let (mut lane_b, mut expect) = (vec![0.0; n], vec![0.0; n]);
+        let mut lane_scratch = vec![0.0; n];
+        for l in 0..width {
+            crate::batch::extract_lane(&b, &mut lane_b, width, l);
+            crate::batch::extract_lane(&b0, &mut expect, width, l);
+            if write[l] {
+                sym.solve(&scalar_w[l], &mut expect, &mut lane_scratch);
+            }
+            assert_eq!(bits(&lane_b), bits(&expect), "lane {l} solve");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 48,
+            ..ProptestConfig::default()
+        })]
+
+        /// On random sparse networks (star hubs included), random states
+        /// and steps from 1e-6 to 0.25, the packed `assemble`, `factor`
+        /// and three `solve`s reproduce the dense-storage elimination bit
+        /// for bit, a tripped guard fails on both paths, and the batched
+        /// kernels reproduce the scalar packed ones lane by lane.
+        #[test]
+        fn packed_lu_reproduces_the_dense_reference_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            n in 2usize..14,
+            hub in 0usize..2,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let crn = random_crn(&mut rng, n, hub == 1);
+            let compiled = CompiledCrn::new(&crn, &SimSpec::default());
+            let sym = Symbolic::new(&compiled);
+            let n = compiled.species_count();
+            prop_assert_eq!(sym.row_ptr[n], sym.packed_len());
+            for _ in 0..4 {
+                check_against_reference(&mut rng, &compiled, &sym, false);
+            }
+            if sym.below_ptr[n] > 0 {
+                prop_assert!(!check_against_reference(&mut rng, &compiled, &sym, true));
+            }
+            for width in [1, 2, 3, 4, 8] {
+                check_batch_against_scalar(&mut rng, &compiled, &sym, width);
+            }
+        }
     }
 
     #[test]
@@ -1110,8 +1540,9 @@ mod tests {
         let mut work = RosenbrockWork::new(&compiled);
         let ya = [4.0, 0.0];
         assert!(work.step(&compiled, &ya, 0.01));
-        // without invalidation the Jacobian from `ya` would be reused;
-        // after invalidation the step must match a fresh workspace at `yb`
+        // without invalidation the Jacobian and f(y) from `ya` would be
+        // reused; after invalidation the step must match a fresh
+        // workspace at `yb`
         let yb = [1.0, 1.5];
         work.invalidate();
         assert!(work.step(&compiled, &yb, 0.02));
@@ -1119,5 +1550,38 @@ mod tests {
         assert!(fresh.step(&compiled, &yb, 0.02));
         assert_eq!(work.y_new, fresh.y_new);
         assert_eq!(work.err, fresh.err);
+    }
+
+    /// Accepted steps that hand their last-stage derivative on give the
+    /// bits of steps that re-evaluate it, including across states the
+    /// projection clamps: an annihilation overshoots below zero at large
+    /// steps.
+    #[test]
+    fn accepted_steps_reuse_the_last_stage_derivative_bit_for_bit() {
+        let crn: Crn = "X + Y -> 0 @fast\n0 -> X @slow\nX -> Y @slow"
+            .parse()
+            .unwrap();
+        let compiled = CompiledCrn::new(&crn, &SimSpec::default());
+        let mut fsal = RosenbrockWork::new(&compiled);
+        let mut recompute = RosenbrockWork::new(&compiled);
+        let mut y = vec![3.0, 2.9];
+        let mut clamped = 0;
+        for step in 0..40 {
+            let h = 0.05 * (1 + step % 3) as f64;
+            assert!(fsal.step(&compiled, &y, h));
+            assert!(recompute.step(&compiled, &y, h));
+            assert_eq!(bits(&fsal.y_new), bits(&recompute.y_new), "step {step}");
+            assert_eq!(bits(&fsal.err), bits(&recompute.err), "step {step}");
+            fsal.accept();
+            recompute.invalidate();
+            y.copy_from_slice(&fsal.y_new);
+            for v in &mut y {
+                if *v < 0.0 {
+                    *v = 0.0;
+                    clamped += 1;
+                }
+            }
+        }
+        assert!(clamped > 0, "no step left the orthant");
     }
 }

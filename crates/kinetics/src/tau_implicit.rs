@@ -38,7 +38,7 @@
 use crate::compiled::CompiledCrn;
 use crate::metrics::SimMetrics;
 use crate::ode::OdeWorkspace;
-use crate::stiff::{assemble_w, Lu, Symbolic};
+use crate::stiff::{Factored, Symbolic};
 use crate::tau::{apply_injection, poisson, TauLeapOptions};
 use crate::{Schedule, SimError, State, Trace};
 use molseq_crn::Crn;
@@ -89,11 +89,9 @@ pub(crate) struct NewtonWork {
     sym: Symbolic,
     /// Propensity-Jacobian nonzeros over the compiled CSR pattern.
     jac_vals: Vec<f64>,
-    /// `n×n` dense scratch for the assembled, permuted Newton matrix.
-    w: Vec<f64>,
-    /// Spare matrix + pivots for the pivoted-dense fallback.
-    w_dense: Vec<f64>,
-    pivots: Vec<usize>,
+    /// The packed Newton-matrix factor, with its pivoted dense fallback
+    /// (allocated on the first guard trip).
+    lu: Factored,
     /// Permuted right-hand side scratch for the sparse triangular solves.
     bperm: Vec<f64>,
     x_new: Vec<f64>,
@@ -119,12 +117,11 @@ impl NewtonWork {
     fn new(compiled: &CompiledCrn) -> Self {
         let n = compiled.species_count();
         let m = compiled.reaction_count();
+        let sym = Symbolic::new(compiled);
         NewtonWork {
-            sym: Symbolic::new(compiled),
             jac_vals: vec![0.0; compiled.jacobian_nnz()],
-            w: vec![0.0; n * n],
-            w_dense: vec![0.0; n * n],
-            pivots: vec![0; n],
+            lu: Factored::new(&sym),
+            sym,
             bperm: vec![0.0; n],
             x_new: vec![0.0; n],
             x_try: vec![0.0; n],
@@ -294,7 +291,6 @@ fn newton_solve(
     max_newton: usize,
     stats: &mut SimMetrics,
 ) -> bool {
-    let n = compiled.species_count();
     for (cj, (&k, &a)) in work.c.iter_mut().zip(work.k_draw.iter().zip(&work.a0)) {
         *cj = k - tau * a;
     }
@@ -318,27 +314,11 @@ fn newton_solve(
         // guard falls back to the pivoted dense factorization, exactly
         // like the Rosenbrock stepper.
         compiled.propensity_jacobian_sparse(&work.x_new, &mut work.jac_vals);
-        work.sym
-            .assemble(compiled, &work.jac_vals, tau, &mut work.w);
-        work.delta.copy_from_slice(&work.f);
-        if work.sym.factor(&mut work.w) {
-            work.sym.solve(&work.w, &mut work.delta, &mut work.bperm);
-        } else {
-            let mut wd = std::mem::take(&mut work.w_dense);
-            let pivots = std::mem::take(&mut work.pivots);
-            assemble_w(compiled, &work.jac_vals, tau, &mut wd);
-            match Lu::factor(wd, pivots, n) {
-                Ok(lu) => {
-                    lu.solve(&mut work.delta);
-                    (work.w_dense, work.pivots) = lu.into_buffers();
-                }
-                Err((wd, pivots)) => {
-                    work.w_dense = wd;
-                    work.pivots = pivots;
-                    return false;
-                }
-            }
+        if !work.lu.factor(&work.sym, compiled, &work.jac_vals, tau) {
+            return false;
         }
+        work.delta.copy_from_slice(&work.f);
+        work.lu.solve(&work.sym, &mut work.delta, &mut work.bperm);
         // Line search: accept the first damping factor that reduces the
         // scaled residual norm; a full stall means the leap is too
         // ambitious and the caller halves τ.
@@ -433,10 +413,12 @@ pub(crate) fn run_tau_implicit(
         });
     }
 
+    let fallbacks = |ws: &OdeWorkspace| ws.newton.as_ref().map_or(0, |w| w.lu.fallbacks());
     match &mut workspace.newton {
         Some(work) if work.matches(compiled) => {}
         slot => *slot = Some(NewtonWork::new(compiled)),
     }
+    let fallbacks_before = fallbacks(workspace);
 
     let mut stats = SimMetrics {
         seed: base.seed(),
@@ -444,6 +426,7 @@ pub(crate) fn run_tau_implicit(
         ..SimMetrics::default()
     };
     let result = implicit_core(crn, compiled, init, schedule, opts, workspace, &mut stats);
+    stats.dense_lu_fallbacks = fallbacks(workspace) - fallbacks_before;
     // flush even on failure: an interrupted or step-limited run still
     // reports the work it did
     SimMetrics::flush(base.metrics(), stats);

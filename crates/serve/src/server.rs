@@ -1103,6 +1103,7 @@ fn record_metrics(ctx: &JobCtx, m: SimMetrics) {
     ctx.record_metric("ode_steps_accepted", m.ode_steps_accepted as f64);
     ctx.record_metric("ode_steps_rejected", m.ode_steps_rejected as f64);
     ctx.record_metric("lu_factorizations", m.lu_factorizations as f64);
+    ctx.record_metric("dense_lu_fallbacks", m.dense_lu_fallbacks as f64);
     ctx.record_metric("ssa_events", m.ssa_events as f64);
     ctx.record_metric("tau_leaps", m.tau_leaps as f64);
     ctx.record_metric("tau_leaps_implicit", m.tau_leaps_implicit as f64);

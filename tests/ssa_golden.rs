@@ -1,6 +1,6 @@
 //! Golden trajectories of the exact SSA (Gillespie direct method), the
-//! Rosenbrock ODE integrator, the cycle harness and explicit
-//! tau-leaping.
+//! Rosenbrock ODE integrator, the cycle harness, explicit and implicit
+//! tau-leaping, and the hybrid ODE/SSA engine.
 //!
 //! Each SSA and ODE case runs a paper circuit with its per-cycle input
 //! trigger, and hashes everything the run reports: every sample time and
@@ -11,13 +11,17 @@
 //! reproduce those runs bit for bit. The ODE, harness and tau-leap hashes
 //! were recorded before RK4, Cash–Karp, the Jacobian-reuse knob and the
 //! stochastic lanes were deleted; every ODE case runs through the scalar
-//! `Simulation` path and through `run_ode_batch` at widths 1 and 4.
+//! `Simulation` path and through `run_ode_batch` at widths 1, 2, 3 and 4.
+//! The implicit tau-leap and hybrid hashes, and the width-2 and width-3
+//! lane runs, were recorded before the sparse LU moved to packed storage:
+//! both engines factor their `W` with that LU.
 
 use molseq::crn::{Crn, RateAssignment};
 use molseq::dsp::moving_average;
 use molseq::kinetics::{
-    run_ode_batch, BatchLane, BatchedOdeWorkspace, CompiledCrn, OdeOptions, Schedule, SimError,
-    SimMetrics, SimSpec, Simulation, SsaOptions, State, TauLeapOptions, Trace,
+    run_ode_batch, BatchLane, BatchedOdeWorkspace, CompiledCrn, HybridOptions, OdeOptions,
+    Schedule, SimError, SimMetrics, SimSpec, Simulation, SsaOptions, State, TauLeapImplicitOptions,
+    TauLeapOptions, Trace,
 };
 use molseq::sync::{
     compile_netlist_source, drive_cycles, drive_cycles_batch, stored_value_terms, BatchCell,
@@ -311,7 +315,7 @@ fn moving_average2_trajectories_match_their_golden_hashes() {
     );
 }
 
-// --- deterministic ODE: scalar, and lock-step lanes at widths 1 and 4 ---
+// --- deterministic ODE: scalar, and lock-step lanes at widths 1 to 4 ---
 
 /// The ODE variants: the budget and the hook limit count attempted
 /// integrator steps.
@@ -392,32 +396,46 @@ fn run_ode_lanes(c: &Circuit, lanes: &[Lane], width: usize) -> Runs {
     runs
 }
 
-/// Checks scalar, width-1 and width-4 ODE runs of `c` against `golden`,
-/// and the width-4 retirement ordinals against `retired`.
-fn check_ode(c: &Circuit, golden: [u64; 4], retired: [u64; 4]) {
+/// Checks scalar and width-1 to width-4 ODE runs of `c` against
+/// `golden`, and each width's retirement ordinals against `retired`
+/// (widths 2, 3, 4 in that order). Width 3 splits the four lanes 3 + 1,
+/// so it also runs the dynamic-width kernels.
+fn check_ode(c: &Circuit, golden: [u64; 4], retired: [[u64; 4]; 3]) {
     let lanes = ode_lanes(c);
     let scalar = run_ode_scalar(c, &lanes);
     let w1 = run_ode_lanes(c, &lanes, 1);
-    let w4 = run_ode_lanes(c, &lanes, 4);
+    let wide: Vec<Runs> = [2, 3, 4]
+        .iter()
+        .map(|&width| run_ode_lanes(c, &lanes, width))
+        .collect();
     let report = format!(
-        "{}: scalar {:x?} w1 {:x?} w4 {:x?} w4 shapes {:?}",
-        c.name, scalar.hashes, w1.hashes, w4.hashes, w4.shapes
+        "{}: scalar {:x?} w1 {:x?} w2..w4 {:x?} shapes {:?}",
+        c.name,
+        scalar.hashes,
+        w1.hashes,
+        wide.iter().map(|r| &r.hashes).collect::<Vec<_>>(),
+        wide.iter().map(|r| &r.shapes).collect::<Vec<_>>()
     );
-    for runs in [&scalar, &w1, &w4] {
+    for runs in [&scalar, &w1].into_iter().chain(&wide) {
         assert_eq!(
             runs.outcomes,
             ["ok", "ok", "max_events", "hook"],
             "{report}"
         );
+        assert_eq!(runs.hashes, golden, "hashes moved; {report}");
     }
-    assert_eq!(scalar.hashes, golden, "scalar hashes moved; {report}");
-    assert_eq!(w1.hashes, golden, "width-1 hashes moved; {report}");
-    assert_eq!(w4.hashes, golden, "width-4 hashes moved; {report}");
     assert!(scalar.shapes.iter().all(|&s| s == (0, 0)), "{report}");
     assert!(w1.shapes.iter().all(|&s| s == (1, 0)), "{report}");
-    let w4_retired: Vec<u64> = w4.shapes.iter().map(|&(_, r)| r).collect();
-    assert!(w4.shapes.iter().all(|&(w, _)| w == 4), "{report}");
-    assert_eq!(w4_retired, retired, "retirement order moved; {report}");
+    for ((runs, widths), retired) in wide
+        .iter()
+        .zip([[2, 2, 2, 2], [3, 3, 3, 1], [4, 4, 4, 4]])
+        .zip(retired)
+    {
+        let got_widths: Vec<u64> = runs.shapes.iter().map(|&(w, _)| w).collect();
+        let got_retired: Vec<u64> = runs.shapes.iter().map(|&(_, r)| r).collect();
+        assert_eq!(got_widths, widths, "{report}");
+        assert_eq!(got_retired, retired, "retirement order moved; {report}");
+    }
 }
 
 #[test]
@@ -430,7 +448,7 @@ fn counter2_ode_trajectories_match_their_golden_hashes() {
             0x72fe_280e_a257_7580,
             0x3bad_472d_5aa1_a53b,
         ],
-        [3, 2, 1, 0],
+        [[1, 0, 1, 0], [2, 1, 0, 0], [3, 2, 1, 0]],
     );
 }
 
@@ -444,7 +462,7 @@ fn moving_average2_ode_trajectories_match_their_golden_hashes() {
             0x291a_7bc8_fb7a_181a,
             0x15a1_5fbc_7df6_a069,
         ],
-        [3, 2, 1, 0],
+        [[1, 0, 1, 0], [2, 1, 0, 0], [3, 2, 1, 0]],
     );
 }
 
@@ -800,6 +818,152 @@ fn tau_leap_trajectories_match_their_golden_hashes() {
             0xc7a4_aa4f_658e_6b17,
         ],
         "tau hashes moved; {report}"
+    );
+    assert!(runs.shapes.iter().all(|&s| s == (0, 0)), "{report}");
+}
+
+// --- implicit tau-leaping and the hybrid engine on E13's stiff motif ---
+
+/// E13's stiff clocked motif at `k_fast = 10⁴`: the indicator `R` is
+/// produced from nothing and consumed fast by the catalyst pool `X`
+/// (a structurally reversible pair at quasi-steady state) while `X`
+/// drains slowly into `Y`. Both engines below factor a `W` over its
+/// Jacobian pattern at every Newton iteration or fast step.
+const STIFF_MOTIF: &str = "0 -> R @10000\nR + X -> X @100\nX -> Y @0.01";
+
+fn stiff_motif() -> (Crn, State) {
+    let crn: Crn = STIFF_MOTIF.parse().expect("parses");
+    let mut init = State::new(&crn);
+    init.set(crn.find_species("X").expect("X"), 100.0);
+    (crn, init)
+}
+
+/// The injection variant adds 10 catalyst molecules at `t_inject`, a
+/// jump the fast pair re-balances from.
+fn stiff_schedule(crn: &Crn, variant: Variant, t_inject: f64) -> Schedule {
+    match variant {
+        Variant::Injection => {
+            Schedule::new().inject(t_inject, crn.find_species("X").expect("X"), 10.0)
+        }
+        _ => Schedule::new(),
+    }
+}
+
+const IMPLICIT_TAU_VARIANTS: [Variant; 4] = [
+    Variant::Plain,
+    Variant::Injection,
+    Variant::MaxEvents(IMPLICIT_TAU_STEP_CUT),
+    Variant::Hook(IMPLICIT_TAU_HOOK_CUT),
+];
+
+const IMPLICIT_TAU_STEP_CUT: usize = 120;
+const IMPLICIT_TAU_HOOK_CUT: u64 = 100;
+
+#[test]
+fn implicit_tau_trajectories_match_their_golden_hashes() {
+    let (crn, init) = stiff_motif();
+    let compiled = CompiledCrn::new(&crn, &SimSpec::default());
+    let mut runs = Runs::default();
+    for (variant, seed) in IMPLICIT_TAU_VARIANTS.into_iter().zip(SEEDS) {
+        let lane = Lane {
+            compiled: compiled.clone(),
+            schedule: stiff_schedule(&crn, variant, 4.0),
+            seed,
+            t_end: 10.0,
+            variant,
+        };
+        let sink = Cell::new(SimMetrics::default());
+        let hook = hook_for(variant);
+        let result = Simulation::new(&crn, &lane.compiled)
+            .init(&init)
+            .schedule(&lane.schedule)
+            .options(TauLeapImplicitOptions {
+                base: TauLeapOptions {
+                    base: options(&lane, &sink, &hook),
+                    ..TauLeapOptions::default()
+                },
+                // a short cap makes every leap solve a Newton system
+                tau_max: 0.05,
+                ..TauLeapImplicitOptions::default()
+            })
+            .run();
+        let m = sink.get();
+        assert!(m.newton_iterations > 0, "{variant:?}: no Newton solve ran");
+        runs.record(&result, m);
+    }
+    let report = format!("implicit tau: {:x?}", runs.hashes);
+    assert_eq!(
+        runs.outcomes,
+        ["ok", "ok", "max_events", "hook"],
+        "{report}"
+    );
+    assert_eq!(
+        runs.hashes,
+        [
+            0x173b_1f7f_53d5_aef4,
+            0x6f2d_8879_b290_be87,
+            0xaade_2e96_84b4_acdb,
+            0x74c2_3f5c_fb39_cde9,
+        ],
+        "implicit tau hashes moved; {report}"
+    );
+    assert!(runs.shapes.iter().all(|&s| s == (0, 0)), "{report}");
+}
+
+const HYBRID_VARIANTS: [Variant; 4] = [
+    Variant::Plain,
+    Variant::Injection,
+    Variant::MaxEvents(HYBRID_STEP_CUT),
+    Variant::Hook(HYBRID_HOOK_CUT),
+];
+
+/// The hybrid's budget variant cuts its fast (ODE) steps.
+const HYBRID_STEP_CUT: usize = 200;
+const HYBRID_HOOK_CUT: u64 = 150;
+
+#[test]
+fn hybrid_trajectories_match_their_golden_hashes() {
+    let (crn, init) = stiff_motif();
+    let compiled = CompiledCrn::new(&crn, &SimSpec::default());
+    let mut runs = Runs::default();
+    for (variant, seed) in HYBRID_VARIANTS.into_iter().zip(SEEDS) {
+        let schedule = stiff_schedule(&crn, variant, 2.0);
+        let sink = Cell::new(SimMetrics::default());
+        let hook = hook_for(variant);
+        let opts = HybridOptions::default()
+            .with_t_end(4.0)
+            .with_record_interval(0.05)
+            .with_seed(seed)
+            .with_metrics(&sink);
+        let opts = match variant {
+            Variant::MaxEvents(n) => opts.with_max_steps(n),
+            Variant::Hook(_) => opts.with_step_hook(&hook),
+            Variant::Plain | Variant::Injection => opts,
+        };
+        let result = Simulation::new(&crn, &compiled)
+            .init(&init)
+            .schedule(&schedule)
+            .options(opts)
+            .run();
+        let m = sink.get();
+        assert!(m.hybrid_fast_steps > 0, "{variant:?}: no fast step ran");
+        runs.record(&result, m);
+    }
+    let report = format!("hybrid: {:x?}", runs.hashes);
+    assert_eq!(
+        runs.outcomes,
+        ["ok", "ok", "max_events", "hook"],
+        "{report}"
+    );
+    assert_eq!(
+        runs.hashes,
+        [
+            0x4d3b_16c0_dd53_ade4,
+            0xaf35_e16b_f7d2_7a37,
+            0x0310_74bd_61b7_ca7e,
+            0xd099_f446_654b_d664,
+        ],
+        "hybrid hashes moved; {report}"
     );
     assert!(runs.shapes.iter().all(|&s| s == (0, 0)), "{report}");
 }
