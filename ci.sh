@@ -75,6 +75,12 @@
 #                     1-5 never build it: fmt, clippy -D warnings and its
 #                     tests run against its manifest, and one short
 #                     ssa_panels run must pass its E10 output checks
+#  17. ODE oracle      the ignored circuit oracle
+#                     (tests/ode_circuit_oracle.rs), in release: the
+#                     ode_sweep circuits at the cycle harness's
+#                     tolerances must stay within 1e-3 of the amplitude
+#                     of a 1e-9/1e-12 reference on every register and
+#                     cycle, with no dense-LU fallback
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -480,5 +486,10 @@ cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
   --workload ssa_panels --seed 1 --seconds 1 --trace 0 > "$SWEEP_TMP/perfbench_ssa.txt" \
   || { echo "ci: perfbench ssa_panels failed its output checks" >&2
        tail -n 20 "$SWEEP_TMP/perfbench_ssa.txt" >&2; exit 1; }
+
+echo "== ODE oracle: the harness's tolerances against a tight reference =="
+# ignored by tier-1, whose unoptimized build would take minutes; in
+# release it takes well under a minute
+cargo test -q --release --test ode_circuit_oracle -- --ignored
 
 echo "ci: all stages passed"

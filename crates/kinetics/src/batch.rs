@@ -4,13 +4,14 @@
 //! The rate-ratio sweeps behind the paper's figures simulate one network
 //! under many rate bindings: every cell shares the CRN structure, hence
 //! the Jacobian sparsity pattern, hence the minimum-degree symbolic
-//! factorization of `W = I − h·d·J`. [`run_ode_batch`] exploits that by
+//! factorization of `W = I − h·γ·J`. [`run_ode_batch`] exploits that by
 //! advancing up to `width` cells in lock-step through one Rosenbrock
 //! driver: per attempted step it evaluates all lanes' fluxes and Jacobian
 //! nonzeros with shared index decoding, assembles and factors every
 //! stale lane's `W` in one pass over the shared packed elimination
-//! structure, and back-solves the three stage systems for all lanes at
-//! once.
+//! structure, and runs RODAS4's six stages — right-hand sides and stage
+//! solves — for all lanes at once, through the same stage routine the
+//! scalar stepper uses ([`rodas4::stages`]).
 //!
 //! State lives species-major, lane-contiguous (`x[i * width + l]`), so
 //! the inner loops are stride-1 over lanes and autovectorize — no
@@ -19,25 +20,28 @@
 //! **Determinism contract.** Every lane reproduces the scalar
 //! [`run_ode`](crate::ode) path *bit for bit*, at any batch width: lanes
 //! share index structure, never floating-point values. Each lane keeps
-//! its own step controller (`h`), Jacobian and first-stage-derivative
-//! freshness flags, cached-LU key and metrics; everywhere the scalar code
-//! path has a data-dependent skip (zero flux, zero Jacobian partial, zero
+//! its own step controller (`h`), Jacobian and `f(x)` freshness flags,
+//! cached-LU key and metrics; everywhere the scalar code path has a
+//! data-dependent skip (zero flux, zero Jacobian partial, zero
 //! multiplier, cached factorization), the batched kernels use a per-lane
 //! select of the same condition, preserving even `-0.0` signs. The
-//! full-width first-stage derivative pass runs only when some attempting
-//! lane lacks a fresh `f(x)`; a lane that holds one gets the same bits
-//! from it, as the scalar stepper's first-same-as-last reuse does. Lanes
-//! that finish (at `t_end` or on their stop hook), fail, or get
-//! budget-cut *retire*: their state is zeroed (keeping the unmasked
-//! full-width arithmetic finite) and they stop contributing bookkeeping,
-//! while surviving lanes continue unperturbed.
+//! full-width `f(x)` pass runs only when some attempting lane lacks a
+//! fresh one (a lane holds one only after a rejection: an accepted step
+//! moves its state); a lane that holds one gets the same bits from the
+//! pass again, since its state has not moved.
+//! A lane that holds a recorded sample forms the continuous extension of
+//! its step on its own, with the scalar stepper's per-component
+//! arithmetic. Lanes that finish (at `t_end` or on their stop hook),
+//! fail, or get budget-cut *retire*: their state is zeroed (keeping the
+//! unmasked full-width arithmetic finite) and they stop contributing
+//! bookkeeping, while surviving lanes continue unperturbed.
 
 use crate::compiled::CompiledCrn;
 use crate::events::{Injection, TriggerRuntime};
 use crate::metrics::SimMetrics;
 use crate::ode::{expected_records, initial_step, OdeOptions};
 use crate::sim::check_record_interval;
-use crate::stiff::{Lu, Symbolic, C32, D};
+use crate::stiff::{rodas4, Lu, Symbolic};
 use crate::{Schedule, SimError, State, Trace};
 use molseq_crn::Crn;
 use std::ops::ControlFlow;
@@ -73,13 +77,9 @@ pub struct BatchedOdeWorkspace {
     ytmp: Vec<f64>,
     y_new: Vec<f64>,
     f0: Vec<f64>,
-    f1: Vec<f64>,
-    f2: Vec<f64>,
-    k1: Vec<f64>,
-    k2: Vec<f64>,
-    k3: Vec<f64>,
-    err: Vec<f64>,
     solve_scratch: Vec<f64>,
+    /// The stage increments `K_1..K_6`, stage-major, `n × width` each.
+    k: Vec<f64>,
     /// Jacobian nonzeros, `nnz × width`.
     jac_vals: Vec<f64>,
     /// The packed `W` factors, `packed_len × width` (slot-major,
@@ -92,8 +92,8 @@ pub struct BatchedOdeWorkspace {
     inv: Vec<f64>,
     mul: Vec<f64>,
     h_try: Vec<f64>,
+    /// Per-lane `h·γ`.
     hd: Vec<f64>,
-    coeff: Vec<f64>,
     need: Vec<bool>,
     okf: Vec<bool>,
     upd: Vec<bool>,
@@ -106,6 +106,9 @@ pub struct BatchedOdeWorkspace {
     lane_buf: Vec<f64>,
     lane_jac: Vec<f64>,
     sample: Vec<f64>,
+    /// One lane's continuous-extension coefficients `d2`, `d3`.
+    d2: Vec<f64>,
+    d3: Vec<f64>,
     /// Per-lane pivoted dense fallback factors. Each allocates its `n×n`
     /// buffer on its lane's first guard trip and keeps it across calls
     /// as capacity; it is numerically rebuilt whenever used.
@@ -133,17 +136,13 @@ impl BatchedOdeWorkspace {
             &mut self.ytmp,
             &mut self.y_new,
             &mut self.f0,
-            &mut self.f1,
-            &mut self.f2,
-            &mut self.k1,
-            &mut self.k2,
-            &mut self.k3,
-            &mut self.err,
             &mut self.solve_scratch,
         ] {
             buf.clear();
             buf.resize(n * wd, 0.0);
         }
+        self.k.clear();
+        self.k.resize(6 * n * wd, 0.0);
         self.jac_vals.clear();
         self.jac_vals.resize(nnz * wd, 0.0);
         self.w.clear();
@@ -154,7 +153,6 @@ impl BatchedOdeWorkspace {
             &mut self.mul,
             &mut self.h_try,
             &mut self.hd,
-            &mut self.coeff,
         ] {
             buf.clear();
             buf.resize(wd, 0.0);
@@ -176,8 +174,10 @@ impl BatchedOdeWorkspace {
         self.lane_buf.resize(n, 0.0);
         self.lane_jac.clear();
         self.lane_jac.resize(nnz, 0.0);
-        self.sample.clear();
-        self.sample.resize(n, 0.0);
+        for buf in [&mut self.sample, &mut self.d2, &mut self.d3] {
+            buf.clear();
+            buf.resize(n, 0.0);
+        }
         self.dense.resize_with(wd, Lu::default);
     }
 }
@@ -440,13 +440,8 @@ pub fn run_ode_batch<'h>(
         ytmp,
         y_new,
         f0,
-        f1,
-        f2,
-        k1,
-        k2,
-        k3,
-        err,
         solve_scratch,
+        k,
         jac_vals,
         w,
         ks,
@@ -455,7 +450,6 @@ pub fn run_ode_batch<'h>(
         mul,
         h_try,
         hd,
-        coeff,
         need,
         okf,
         upd,
@@ -467,6 +461,8 @@ pub fn run_ode_batch<'h>(
         lane_buf,
         lane_jac,
         sample,
+        d2,
+        d3,
         dense,
     } = workspace;
     let sym = sym.as_ref().expect("prepared above");
@@ -536,7 +532,7 @@ pub fn run_ode_batch<'h>(
         // --- factorization (shared symbolic pass, masked per lane) ---
         for (l, st) in states.iter().enumerate() {
             need[l] = attempting[l] && (!st.lu_valid || st.lu_h != h_try[l]);
-            hd[l] = h_try[l] * D;
+            hd[l] = h_try[l] * rodas4::GAMMA;
         }
         if need.iter().any(|&b| b) {
             // when every lane is either factored now or retired, no cached
@@ -588,7 +584,7 @@ pub fn run_ode_batch<'h>(
             all_solve &= solve_mask[l] || st.done.is_some();
         }
 
-        // --- the three Rosenbrock stages, full width ---
+        // --- the six RODAS4 stages, full width ---
         // A lane with a fresh f(x) holds exactly the bits the full-width
         // pass would give it, so the pass runs only for a lane without.
         if states
@@ -601,83 +597,31 @@ pub fn run_ode_batch<'h>(
                 st.f0_fresh |= attempting[l];
             }
         }
-        #[cfg(debug_assertions)]
-        {
-            // `f1` is scratch until the second stage
-            reference.derivative_batch(ks, x, f1, flux);
-            for (l, _) in attempting.iter().enumerate().filter(|(_, &a)| a) {
-                for i in 0..n {
-                    let (cached, fresh) = (f0[i * wd + l], f1[i * wd + l]);
-                    assert!(
-                        cached.to_bits() == fresh.to_bits(),
-                        "lane {l}: reused f(x) of species {i} is {cached}, \
-                         a fresh evaluation gives {fresh}"
-                    );
-                }
-            }
-        }
-        k1.copy_from_slice(f0);
-        stage_solve(
-            sym,
-            w,
-            k1,
-            solve_scratch,
-            solve_mask,
-            all_solve,
-            dense_mask,
-            dense,
-            lane_buf,
-            wd,
+        rodas4::stages(
+            x,
+            f0,
+            hd,
+            k,
+            ytmp,
+            y_new,
+            |y, out| reference.derivative_batch(ks, y, out, flux),
+            |b| {
+                stage_solve(
+                    sym,
+                    w,
+                    b,
+                    solve_scratch,
+                    solve_mask,
+                    all_solve,
+                    dense_mask,
+                    dense,
+                    lane_buf,
+                    wd,
+                );
+            },
         );
-        for (c, &h) in coeff.iter_mut().zip(h_try.iter()) {
-            *c = 0.5 * h;
-        }
-        saxpy(ytmp, x, coeff, k1);
-        reference.derivative_batch(ks, ytmp, f1, flux);
-        for ((o, &a), &b) in k2.iter_mut().zip(f1.iter()).zip(k1.iter()) {
-            *o = a - b;
-        }
-        stage_solve(
-            sym,
-            w,
-            k2,
-            solve_scratch,
-            solve_mask,
-            all_solve,
-            dense_mask,
-            dense,
-            lane_buf,
-            wd,
-        );
-        for (o, &a) in k2.iter_mut().zip(k1.iter()) {
-            *o += a;
-        }
-        saxpy(y_new, x, h_try, k2);
-        reference.derivative_batch(ks, y_new, f2, flux);
-        for i in 0..k3.len() {
-            k3[i] = f2[i] - C32 * (k2[i] - f1[i]) - 2.0 * (k1[i] - f0[i]);
-        }
-        stage_solve(
-            sym,
-            w,
-            k3,
-            solve_scratch,
-            solve_mask,
-            all_solve,
-            dense_mask,
-            dense,
-            lane_buf,
-            wd,
-        );
-        for (c, &h) in coeff.iter_mut().zip(h_try.iter()) {
-            *c = h / 6.0;
-        }
-        for row in 0..n {
-            let base = row * wd;
-            for l in 0..wd {
-                err[base + l] = coeff[l] * (k1[base + l] - 2.0 * k2[base + l] + k3[base + l]);
-            }
-        }
+        let nw = n * wd;
+        let err = &k[5 * nw..];
 
         // --- per-lane controller, projection, recording, triggers ---
         for (l, st) in states.iter_mut().enumerate() {
@@ -696,22 +640,21 @@ pub fn run_ode_batch<'h>(
                 }
                 if err_ratio <= 1.0 {
                     // the state moved: the next step needs a fresh
-                    // Jacobian, and starts from this step's last-stage
-                    // derivative
+                    // Jacobian and f(x)
                     for i in 0..n {
                         x[i * wd + l] = y_new[i * wd + l];
-                        f0[i * wd + l] = f2[i * wd + l];
                     }
                     st.jac_fresh = false;
+                    st.f0_fresh = false;
                     let grow = if err_ratio > 0.0 {
-                        0.9 * err_ratio.powf(-1.0 / 3.0)
+                        0.9 * err_ratio.powf(-0.25)
                     } else {
                         5.0
                     };
                     st.h_adaptive = (h_try[l] * grow.clamp(0.2, 5.0)).min(st.opts.h_max());
                     (h_try[l], true)
                 } else {
-                    let shrink = (0.9 * err_ratio.powf(-1.0 / 3.0)).clamp(0.1, 0.9);
+                    let shrink = (0.9 * err_ratio.powf(-0.25)).clamp(0.1, 0.9);
                     st.h_adaptive = (h_try[l] * shrink).max(1e-14);
                     (0.0, false)
                 }
@@ -765,15 +708,23 @@ pub fn run_ode_batch<'h>(
                 );
                 continue;
             }
+            if st.next_record <= st.t + 1e-12 {
+                // this lane's continuous extension, as the scalar
+                // stepper's prepare_dense forms it
+                for i in 0..n {
+                    let kv = std::array::from_fn(|j| k[j * nw + i * wd + l]);
+                    (d2[i], d3[i]) = rodas4::dense_coefficients(kv);
+                }
+            }
             while st.next_record <= st.t + 1e-12 {
-                let alpha = if h_taken > 0.0 {
+                let theta = if h_taken > 0.0 {
                     ((st.next_record - t_prev) / h_taken).clamp(0.0, 1.0)
                 } else {
                     1.0
                 };
                 for (i, s) in sample.iter_mut().enumerate() {
-                    let a = x_prev[i * wd + l];
-                    *s = a + alpha * (x[i * wd + l] - a);
+                    *s =
+                        rodas4::dense_value(x_prev[i * wd + l], x[i * wd + l], theta, d2[i], d3[i]);
                 }
                 st.trace.push(st.next_record, sample);
                 st.next_record += st.opts.record_interval();
@@ -803,20 +754,6 @@ pub fn run_ode_batch<'h>(
             Err(e) => Err(e),
         })
         .collect()
-}
-
-/// `out[i,l] = base[i,l] + coeff[l] · v[i,l]`, full width.
-fn saxpy(out: &mut [f64], base: &[f64], coeff: &[f64], v: &[f64]) {
-    let wd = coeff.len();
-    for ((o_row, b_row), v_row) in out
-        .chunks_exact_mut(wd)
-        .zip(base.chunks_exact(wd))
-        .zip(v.chunks_exact(wd))
-    {
-        for (((o, &b), &c), &vv) in o_row.iter_mut().zip(b_row).zip(coeff).zip(v_row) {
-            *o = b + c * vv;
-        }
-    }
 }
 
 /// Solves one stage system for every live lane: sparse lanes through the
@@ -1095,13 +1032,13 @@ mod tests {
     }
 
     /// A tripped no-pivot guard reaches the metrics sink, scalar and in a
-    /// lane. The network's first pivot `1 − h·D·k` cancels at a first
+    /// lane. The network's first pivot `1 − h·γ·k` cancels at a first
     /// step of 0.1 (the initial step at record interval 0.1), so the
     /// pivoted dense LU takes that step; at record interval 0.05 the
     /// same pivot is 0.5 and the first step stays sparse.
     #[test]
     fn a_tripped_guard_is_counted_scalar_and_in_a_lane() {
-        let k = 1.0 / (0.1 * D);
+        let k = 1.0 / (0.1 * rodas4::GAMMA);
         let crn: Crn = format!("A -> 2A @{k}\n2A -> A @1\nB -> A + B @1\nA -> A + B @1\nB -> 0 @1")
             .parse()
             .unwrap();

@@ -7,9 +7,17 @@
 //! discreteness of the computation. This engine partitions the network:
 //! *fast* reactions (structurally reversible pairs whose propensities
 //! exceed a discreteness threshold) are integrated as a continuous
-//! subsystem with the shared Rosenbrock ode23s stepper and sparse LU,
-//! while *slow* reactions fire as exact discrete events whose propensities
-//! are evaluated against the evolving continuous state.
+//! subsystem with a Rosenbrock ode23s stepper (Shampine & Reichelt, SIAM
+//! J. Sci. Comput. 1997) over the shared sparse LU, while *slow* reactions
+//! fire as exact discrete events whose propensities are evaluated against
+//! the evolving continuous state.
+//!
+//! The fast step stays on the second-order ode23s on purpose, while the
+//! pure ODE engine moved to RODAS4: the slow channels integrate their
+//! propensities by a trapezoid over each accepted fast step, so steps
+//! about 5× longer would change the slow-event statistics, and no oracle
+//! here checks those yet. It moves once an exact-distribution
+//! (finite-state-projection) oracle can show the change is harmless.
 //!
 //! Slow events are drawn by time rescaling (the "next reaction density"
 //! method): one Exp(1) variate `E` is drawn per event, the integral
@@ -34,7 +42,7 @@ use crate::compiled::CompiledCrn;
 use crate::metrics::{sinks_eq, MetricsSink, SimMetrics};
 use crate::ode::{OdeWorkspace, StepHook};
 use crate::ssa::{run_ssa, select_reaction, SsaOptions};
-use crate::stiff::{Factored, Symbolic, C32, D};
+use crate::stiff::{Factored, Symbolic};
 use crate::tau_implicit::find_reverse_pairs;
 use crate::{Schedule, SimError, State, Trace};
 use molseq_crn::Crn;
@@ -46,6 +54,12 @@ use std::ops::ControlFlow;
 /// continuous side: at ≥ 100 expected firings per time unit the pair's
 /// discreteness is invisible next to its churn.
 pub const DEFAULT_DISCRETENESS_THRESHOLD: f64 = 100.0;
+
+/// ode23s's diagonal `d = 1 / (2 + √2)`: the fast step factors
+/// `W = I − h·d·J`.
+const D: f64 = 0.2928932188134524;
+/// ode23s's `e32 = 6 + √2`.
+const C32: f64 = 7.414213562373095;
 
 /// Options controlling one hybrid ODE/SSA run.
 ///

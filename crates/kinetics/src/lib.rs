@@ -4,7 +4,8 @@
 //! the [`Simulation`] builder and selected by [`SimMethod`]:
 //!
 //! * **Deterministic mass-action ODE** integration ([`SimMethod::Ode`])
-//!   with an adaptive Rosenbrock (ode23s) stepper, non-negativity
+//!   with an adaptive fourth-order Rosenbrock stepper (RODAS4, L-stable,
+//!   samples from its own continuous extension), non-negativity
 //!   projection, timed injections and condition triggers. This is the
 //!   workhorse behind every figure of the paper reproduction: the paper
 //!   validates its designs "through ODE simulations of the mass-action

@@ -3,15 +3,20 @@
 //! The networks in this workspace are stiff by construction: fast
 //! reactions run at `k_fast·X ≈ 10⁵` while the phenomena of interest live
 //! on the `k_slow` timescale. Explicit methods are stability-limited to
-//! steps of `~1/(k_fast·X)`; the Rosenbrock method here (the classic
-//! ode23s pair of Shampine & Reichelt) takes steps sized by *accuracy*
-//! instead, using the analytic mass-action Jacobian.
+//! steps of `~1/(k_fast·X)`; the Rosenbrock method here, RODAS4 (Hairer &
+//! Wanner, *Solving Ordinary Differential Equations II*, §IV.7), takes
+//! steps sized by *accuracy* instead, using the analytic mass-action
+//! Jacobian. It is L-stable and stiffly accurate, of order 4 with an
+//! embedded order-3 error estimate, and carries its own order-3
+//! continuous extension, which the recorded samples are read from. Its
+//! tableau is typed once, in [`rodas4`], and read by the scalar stepper
+//! here, by the batched lanes and by the dense output.
 //!
 //! Three structural optimizations keep the per-step cost down on the
 //! large networks (multi-bit counters run past 100 species):
 //!
 //! * the Jacobian is evaluated through the precomputed CSR pattern
-//!   ([`CompiledCrn::jacobian_sparse`]) and `W = I − h·d·J` is assembled
+//!   ([`CompiledCrn::jacobian_sparse`]) and `W = I − h·γ·J` is assembled
 //!   by scattering only the nonzeros — no dense Jacobian is ever formed;
 //! * the linear algebra exploits that W's sparsity pattern is *fixed*
 //!   across the whole simulation. A one-time symbolic analysis
@@ -22,10 +27,10 @@
 //!   the 3-bit counter, against 9,801 dense positions). It also
 //!   precomputes the slot every Jacobian nonzero, multiplier and row
 //!   update lands in, so assembling `W` zeroes and scatters only the
-//!   packed array, and the numeric factorization and the three
+//!   packed array, and the numeric factorization and the six
 //!   triangular solves touch nothing else. The factorization runs
 //!   without pivoting — at the step sizes the controller accepts,
-//!   `W = I − h·d·J` is dominated by its unit diagonal — but every pivot
+//!   `W = I − h·γ·J` is dominated by its unit diagonal — but every pivot
 //!   and multiplier is checked against a stability guard, and a step
 //!   whose elimination misbehaves transparently falls back to the
 //!   pivoted dense LU ([`Lu`], slice-based and vectorized). Its `n×n`
@@ -35,36 +40,213 @@
 //!   [`RosenbrockWork`] and is reused across steps, segments and whole
 //!   simulations.
 //!
-//! The Jacobian is evaluated once per accepted state: a rejected step
-//! retries from the same state with the same Jacobian (and, when `h`
-//! repeats bit-identically, the same LU). It is never carried across an
-//! accepted step: ode23s is not a W-method, its order conditions assume a
-//! current Jacobian, and a lagged one inflates the embedded error
-//! estimate into reject-and-retry cycles that cost more than the skipped
-//! evaluations save.
-//!
-//! The right-hand side is evaluated at most twice per step. ode23s is
-//! first-same-as-last: its last stage evaluates `f(y_new)`, and the next
-//! step's first stage needs `f(y)` at the accepted state — the same bits,
-//! because [`CompiledCrn::derivative`] clamps negative concentrations to
-//! zero exactly as the post-step projection does. So an accepted step
-//! hands its last-stage derivative to the next step, and a rejected one
-//! keeps its first-stage derivative for the retry; only an injection, a
-//! trigger firing or a recycled workspace forces a fresh evaluation.
+//! Each step takes one Jacobian, one LU, six right-hand sides and six
+//! stage solves. The Jacobian is evaluated once per accepted state: a
+//! rejected step retries from the same state with the same Jacobian, the
+//! same `f(y)` (and, when `h` repeats bit-identically, the same LU). It is
+//! never carried across an accepted step: RODAS4 is not a W-method, its
+//! order conditions assume a current Jacobian, and a lagged one inflates
+//! the embedded error estimate into reject-and-retry cycles that cost more
+//! than the skipped evaluations save. Nor is `f(y)` handed over from the
+//! previous step: the new state's derivative is not one of RODAS4's stage
+//! values, so every accepted state evaluates it afresh.
 
 // Index loops mirror the textbook linear-algebra formulas.
 #![allow(clippy::needless_range_loop)]
 
 use crate::compiled::CompiledCrn;
 
-pub(crate) const D: f64 = 0.2928932188134524; // 1 / (2 + √2)
-pub(crate) const C32: f64 = 7.414213562373095; // 6 + √2
+/// The RODAS4 tableau: the coefficients of Hairer's RODAS code
+/// (`METH = 1`), which KPP's `Rodas4` also uses, in the form that solves
+/// for the stage increments `K_i` directly. With `W = I − h·γ·J`:
+///
+/// ```text
+/// Y_i = y + Σ_{j<i} a_ij·K_j
+/// W·K_i = h·γ·f(Y_i) + γ·Σ_{j<i} c_ij·K_j          (i = 1..6)
+/// ```
+///
+/// The method is stiffly accurate: `a_6j = (a_51, .., a_54, 1)` and the
+/// solution weights are `(a_51, .., a_54, 1, 1)`, so `Y_6 = Y_5 + K_5`
+/// and `y_new = Y_6 + K_6`. The embedded order-3 solution is `Y_6`, so
+/// the error estimate is `K_6`. The continuous extension over the step
+/// `[t0, t0 + h]` is
+///
+/// ```text
+/// y(t0 + θh) = (1 − θ)·y0 + θ·(y1 + (1 − θ)·(d2 + θ·d3)),
+/// d2 = Σ_{j≤5} D2_j·K_j,   d3 = Σ_{j≤5} D3_j·K_j,
+/// ```
+///
+/// which returns `y0` at `θ = 0` and `y1` at `θ = 1`. `γ = 1/4` is a
+/// power of two, so `γ·c_ij` is exact and the stage arithmetic folds it
+/// into the constants.
+pub(crate) mod rodas4 {
+    /// The diagonal `γ` of the method: `W = I − h·γ·J`.
+    pub(crate) const GAMMA: f64 = 0.25;
+    /// `A[i - 2][j - 1] = a_ij` for stages `i = 2..=5`.
+    const A: [[f64; 4]; 4] = [
+        [1.544, 0.0, 0.0, 0.0],
+        [0.9466785280815826, 0.2557011698983284, 0.0, 0.0],
+        [
+            3.314825187068521,
+            2.896124015972201,
+            0.9986419139977817,
+            0.0,
+        ],
+        [
+            1.221224509226641,
+            6.019134481288629,
+            12.53708332932087,
+            -0.687886036105895,
+        ],
+    ];
+    /// `C[i - 2][j - 1] = c_ij` for stages `i = 2..=6`.
+    const C: [[f64; 5]; 5] = [
+        [-5.6688, 0.0, 0.0, 0.0, 0.0],
+        [-2.430093356833875, -0.2063599157091915, 0.0, 0.0, 0.0],
+        [
+            -0.1073529058151375,
+            -9.594562251023355,
+            -20.47028614809616,
+            0.0,
+            0.0,
+        ],
+        [
+            7.496443313967647,
+            -10.24680431464352,
+            -33.99990352819905,
+            11.7089089320616,
+            0.0,
+        ],
+        [
+            8.083246795921522,
+            -7.981132988064893,
+            -31.52159432874371,
+            16.31930543123136,
+            -6.058818238834054,
+        ],
+    ];
+    /// Dense-output weights of `d2` over `K_1..K_5`.
+    const D2: [f64; 5] = [
+        10.12623508344586,
+        -7.487995877610167,
+        -34.80091861555747,
+        -7.992771707568823,
+        1.025137723295662,
+    ];
+    /// Dense-output weights of `d3` over `K_1..K_5`.
+    const D3: [f64; 5] = [
+        -0.6762803392801253,
+        6.087714651680015,
+        16.43084320892478,
+        24.76722511418386,
+        -6.594389125716872,
+    ];
+
+    /// `γ·c_ij`, exact since `γ` is a power of two.
+    const GC: [[f64; 5]; 5] = {
+        let mut gc = C;
+        let mut i = 0;
+        while i < 5 {
+            let mut j = 0;
+            while j < 5 {
+                gc[i][j] *= GAMMA;
+                j += 1;
+            }
+            i += 1;
+        }
+        gc
+    };
+
+    /// `out += Σ_j w[j]·K_j` elementwise, one weight at a time in
+    /// ascending `j`, for `K_j = ks[j·len..(j + 1)·len]`.
+    fn accumulate(out: &mut [f64], w: &[f64], ks: &[f64]) {
+        for (&a, k) in w.iter().zip(ks.chunks_exact(out.len())) {
+            for (o, &kv) in out.iter_mut().zip(k) {
+                *o += a * kv;
+            }
+        }
+    }
+
+    /// The six stages of one trial step from `y`, over vectors of
+    /// `y.len()` entries: one cell (`hg` one long), or `hg.len()` lanes
+    /// stored species-major, lane-contiguous. `f0` holds `f(y)`, `hg` each
+    /// lane's `h·γ`, `derivative(Y, out)` writes `f(Y)`, and `solve(b)`
+    /// overwrites `b` with `W⁻¹·b`. Fills `k` with `K_1..K_6`
+    /// (stage-major) and `y_new`; `ytmp` ends holding the embedded
+    /// solution `Y_6`. Every weight but `h·γ` is the same for every lane,
+    /// so a lane sees exactly the operations, in the same order, that a
+    /// cell stepped alone sees.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn stages(
+        y: &[f64],
+        f0: &[f64],
+        hg: &[f64],
+        k: &mut [f64],
+        ytmp: &mut [f64],
+        y_new: &mut [f64],
+        mut derivative: impl FnMut(&[f64], &mut [f64]),
+        mut solve: impl FnMut(&mut [f64]),
+    ) {
+        let len = y.len();
+        for s in 0..6 {
+            let (prev, rest) = k.split_at_mut(s * len);
+            let ks = &mut rest[..len];
+            if s == 0 {
+                ks.copy_from_slice(f0);
+            } else {
+                if s < 5 {
+                    ytmp.copy_from_slice(y);
+                    accumulate(ytmp, &A[s - 1][..s], prev);
+                } else {
+                    // stiffly accurate: a_6j = (a_51, .., a_54, 1), so
+                    // Y_6 = Y_5 + K_5
+                    accumulate(ytmp, &[1.0], &prev[4 * len..]);
+                }
+                derivative(ytmp, ks);
+            }
+            for row in ks.chunks_exact_mut(hg.len()) {
+                for (x, &h) in row.iter_mut().zip(hg) {
+                    *x *= h;
+                }
+            }
+            if s > 0 {
+                accumulate(ks, &GC[s - 1][..s], prev);
+            }
+            solve(ks);
+        }
+        // the solution weights are a_6j followed by 1: y_new = Y_6 + K_6
+        y_new.copy_from_slice(ytmp);
+        accumulate(y_new, &[1.0], &k[5 * len..]);
+    }
+
+    /// `d2` and `d3` of one component, from its `K_1..K_5`.
+    pub(crate) fn dense_coefficients(k: [f64; 5]) -> (f64, f64) {
+        let (mut d2, mut d3) = (0.0, 0.0);
+        for j in 0..5 {
+            d2 += D2[j] * k[j];
+            d3 += D3[j] * k[j];
+        }
+        (d2, d3)
+    }
+
+    /// One component of the continuous extension at `θ`, from `y0` to
+    /// `y1`. A negative value is clamped to `+0.0`, as the post-step
+    /// projection clamps the state.
+    pub(crate) fn dense_value(y0: f64, y1: f64, theta: f64, d2: f64, d3: f64) -> f64 {
+        let v = (1.0 - theta) * y0 + theta * (y1 + (1.0 - theta) * (d2 + theta * d3));
+        if v < 0.0 {
+            0.0
+        } else {
+            v
+        }
+    }
+}
 
 /// A multiplier this large during the no-pivot elimination means the
 /// natural ordering is numerically unstable for this particular `W`;
 /// the step falls back to the pivoted dense factorization. Partial
 /// pivoting bounds multipliers by 1, so 10⁴ already concedes ~4 digits —
-/// on the mass-action `W = I − h·d·J` matrices here, where the unit
+/// on the mass-action `W = I − h·γ·J` matrices here, where the unit
 /// diagonal dominates at accepted step sizes, the guard never trips in
 /// practice.
 const MULTIPLIER_GUARD: f64 = 1e4;
@@ -82,7 +264,7 @@ pub(crate) struct Lu {
 }
 
 impl Lu {
-    /// Assembles `W = I − h·d·J` (`hd = h·D`) unpermuted into this
+    /// Assembles `W = I − hd·J` unpermuted into this
     /// factor's `n×n` buffer and factors it with partial pivoting.
     /// Returns `false` when `W` is numerically singular.
     pub(crate) fn factor_w(&mut self, compiled: &CompiledCrn, jac_vals: &[f64], hd: f64) -> bool {
@@ -215,7 +397,7 @@ fn min_degree_order(n: usize, pat: &[bool]) -> Vec<usize> {
     perm
 }
 
-/// One-time symbolic factorization of `W = I − h·d·J`: a fill-reducing
+/// One-time symbolic factorization of `W = I − hd·J`: a fill-reducing
 /// (minimum-degree) symmetric permutation of the Jacobian pattern plus
 /// the diagonal, closed under the fill-in of Gaussian elimination in the
 /// permuted order, and the packed layout of the factor.
@@ -378,8 +560,9 @@ impl Symbolic {
             && self.src_col_idx.as_slice() == col_idx
     }
 
-    /// Scatters `W' = P·(I − h·d·J)·Pᵀ` into the packed array `w`
-    /// (`hd = h·D`, `jac_vals` aligned with the Jacobian CSR pattern):
+    /// Scatters `W' = P·(I − hd·J)·Pᵀ` into the packed array `w`
+    /// (`hd` the step times the method's diagonal, `jac_vals` aligned
+    /// with the Jacobian CSR pattern):
     /// zeroes `w`, then writes every Jacobian nonzero and adds the unit
     /// diagonal, row by row.
     pub(crate) fn assemble(&self, jac_vals: &[f64], hd: f64, w: &mut [f64]) {
@@ -471,7 +654,7 @@ impl Symbolic {
 
     /// Multi-lane [`assemble`](Self::assemble): `jac_vals` holds `width`
     /// lanes of Jacobian nonzeros (slot-major, lane-contiguous), `hd` the
-    /// per-lane `h·D`, and `w` the packed `W` block (`packed_len × width`,
+    /// per-lane `hd`, and `w` the packed `W` block (`packed_len × width`,
     /// slot-major, lane-contiguous). Only lanes with `need[l]` set are
     /// written; the others keep their cached factor bits untouched. When
     /// the caller can prove no lane's cached bits will ever be read again
@@ -782,7 +965,8 @@ impl Symbolic {
 /// [`Symbolic`] structure, and the pivoted dense fallback [`Lu`], whose
 /// `n×n` buffer is allocated on the first guard trip. The Rosenbrock
 /// stepper, the hybrid engine's fast step and the implicit tau-leaper's
-/// Newton solve each own one; their matrices `I − h·d·J` and
+/// Newton solve each own one; their matrices `I − h·γ·J` (RODAS4),
+/// `I − h·d·J` (the hybrid's ode23s) and
 /// `I − τ·ν·(∂a/∂x)` share the Jacobian pattern.
 pub(crate) struct Factored {
     packed: Vec<f64>,
@@ -839,8 +1023,8 @@ impl Factored {
     }
 }
 
-/// Scatters `W = I − h·d·J` over the Jacobian pattern into the dense
-/// scratch matrix `w` (`hd = h·D`), in original (unpermuted) species
+/// Scatters `W = I − hd·J` over the Jacobian pattern into the dense
+/// scratch matrix `w`, in original (unpermuted) species
 /// order — the layout the pivoted dense fallback factors.
 fn assemble_w(compiled: &CompiledCrn, jac_vals: &[f64], hd: f64, w: &mut [f64]) {
     let n = compiled.species_count();
@@ -869,21 +1053,24 @@ pub(crate) struct RosenbrockWork {
     jac_vals: Vec<f64>,
     /// True when `jac_vals` was evaluated at the current state.
     jac_fresh: bool,
-    /// The factorization of `W = I − h·d·J`; valid for `lu_h` and the
+    /// The factorization of `W = I − h·γ·J`; valid for `lu_h` and the
     /// current `jac_vals` while `lu_valid` holds.
     lu: Factored,
     lu_valid: bool,
     lu_h: f64,
-    /// True when `f0` holds `f(y)` at the current state: evaluated by an
-    /// earlier (rejected) trial, or handed over by the last accepted step.
+    /// True when `f0` holds `f(y)` at the current state, evaluated by an
+    /// earlier (rejected) trial from it.
     f0_fresh: bool,
     f0: Vec<f64>,
-    f1: Vec<f64>,
-    f2: Vec<f64>,
-    k1: Vec<f64>,
-    k2: Vec<f64>,
-    k3: Vec<f64>,
+    /// The stage increments `K_1..K_6` of the last trial step,
+    /// stage-major, `n` each; `K_6` is its error estimate.
+    k: Vec<f64>,
+    /// The stage states `Y_i`.
     ytmp: Vec<f64>,
+    /// The continuous extension's `d2` and `d3` of the last accepted
+    /// step, formed by [`prepare_dense`](Self::prepare_dense).
+    d2: Vec<f64>,
+    d3: Vec<f64>,
     /// Permuted right-hand side scratch for the sparse triangular solves.
     bperm: Vec<f64>,
     /// Completed numeric factorizations of `W` over the workspace's
@@ -892,8 +1079,6 @@ pub(crate) struct RosenbrockWork {
     factorizations: u64,
     /// The advanced solution of the trial step.
     pub y_new: Vec<f64>,
-    /// Per-component error estimate of the trial step.
-    pub err: Vec<f64>,
 }
 
 impl RosenbrockWork {
@@ -910,16 +1095,13 @@ impl RosenbrockWork {
             sym,
             f0_fresh: false,
             f0: vec![0.0; n],
-            f1: vec![0.0; n],
-            f2: vec![0.0; n],
-            k1: vec![0.0; n],
-            k2: vec![0.0; n],
-            k3: vec![0.0; n],
+            k: vec![0.0; 6 * n],
             ytmp: vec![0.0; n],
+            d2: vec![0.0; n],
+            d3: vec![0.0; n],
             bperm: vec![0.0; n],
             factorizations: 0,
             y_new: vec![0.0; n],
-            err: vec![0.0; n],
         }
     }
 
@@ -943,45 +1125,37 @@ impl RosenbrockWork {
         self.jac_vals.len() == compiled.jacobian_nnz() && self.sym.matches(compiled)
     }
 
-    /// Forgets the cached Jacobian, factorization and first-stage
-    /// derivative. Call whenever the state jumps (an injection, a trigger
-    /// firing) or when the workspace is recycled for a new simulation:
-    /// the next step then behaves exactly like the first step of a fresh
-    /// workspace.
+    /// Forgets the cached Jacobian, factorization and `f(y)`. Call
+    /// whenever the state moves — an accepted step, an injection, a
+    /// trigger firing — or the workspace is recycled for a new
+    /// simulation: the next step then behaves exactly like the first step
+    /// of a fresh workspace. The last step's stage increments stay, so
+    /// [`prepare_dense`](Self::prepare_dense) still reads an accepted
+    /// step after it.
     pub(crate) fn invalidate(&mut self) {
         self.jac_fresh = false;
         self.f0_fresh = false;
     }
 
-    /// Accepts the last trial step: the caller's state moves to `y_new`
-    /// (projected onto the non-negative orthant). The next step needs a
-    /// fresh Jacobian, but its first-stage derivative is this step's last
-    /// one.
-    pub(crate) fn accept(&mut self) {
-        self.jac_fresh = false;
-        std::mem::swap(&mut self.f0, &mut self.f2);
-        self.f0_fresh = true;
-    }
-
-    /// One ode23s trial step of size `h` from `y`. Fills `y_new` and
-    /// `err`; returns `false` when the linear system is singular (caller
-    /// should shrink the step).
+    /// One RODAS4 trial step of size `h` from `y`. Fills `y_new` and the
+    /// stage increments, `K_6` among them as the error estimate; returns
+    /// `false` when the linear system is singular (caller should shrink
+    /// the step).
     ///
-    /// The Jacobian is re-evaluated unless it was evaluated at `y` by an
-    /// earlier (rejected) trial since the last state change; the LU
-    /// factorization is additionally reused when `h` is bit-identical to
-    /// the cached one, and the first-stage derivative whenever it is
-    /// fresh.
+    /// The Jacobian and `f(y)` are re-evaluated unless an earlier
+    /// (rejected) trial evaluated them at `y` since the last state change;
+    /// the LU factorization is additionally reused when `h` is
+    /// bit-identical to the cached one.
     pub(crate) fn step(&mut self, compiled: &CompiledCrn, y: &[f64], h: f64) -> bool {
-        let n = self.n;
         if !self.jac_fresh {
             compiled.jacobian_sparse(y, &mut self.jac_vals);
             self.jac_fresh = true;
             // any cached factorization was built from the old values
             self.lu_valid = false;
         }
+        let hg = h * rodas4::GAMMA;
         if !self.lu_valid || self.lu_h != h {
-            if !self.lu.factor(&self.sym, compiled, &self.jac_vals, h * D) {
+            if !self.lu.factor(&self.sym, compiled, &self.jac_vals, hg) {
                 self.lu_valid = false;
                 // retry from an exact Jacobian at the smaller step
                 self.jac_fresh = false;
@@ -991,66 +1165,62 @@ impl RosenbrockWork {
             self.lu_h = h;
             self.factorizations += 1;
         }
-
-        if self.f0_fresh {
-            #[cfg(debug_assertions)]
-            self.assert_f0_fresh(compiled, y);
-        } else {
+        if !self.f0_fresh {
             compiled.derivative(y, &mut self.f0);
             self.f0_fresh = true;
         }
-        self.k1.copy_from_slice(&self.f0);
-        self.lu.solve(&self.sym, &mut self.k1, &mut self.bperm);
-
-        for i in 0..n {
-            self.ytmp[i] = y[i] + 0.5 * h * self.k1[i];
-        }
-        compiled.derivative(&self.ytmp, &mut self.f1);
-        for i in 0..n {
-            self.k2[i] = self.f1[i] - self.k1[i];
-        }
-        self.lu.solve(&self.sym, &mut self.k2, &mut self.bperm);
-        for i in 0..n {
-            self.k2[i] += self.k1[i];
-        }
-
-        for i in 0..n {
-            self.y_new[i] = y[i] + h * self.k2[i];
-        }
-        compiled.derivative(&self.y_new, &mut self.f2);
-        for i in 0..n {
-            self.k3[i] =
-                self.f2[i] - C32 * (self.k2[i] - self.f1[i]) - 2.0 * (self.k1[i] - self.f0[i]);
-        }
-        self.lu.solve(&self.sym, &mut self.k3, &mut self.bperm);
-
-        for i in 0..n {
-            self.err[i] = h / 6.0 * (self.k1[i] - 2.0 * self.k2[i] + self.k3[i]);
-        }
+        let RosenbrockWork {
+            sym,
+            lu,
+            f0,
+            k,
+            ytmp,
+            bperm,
+            y_new,
+            ..
+        } = self;
+        rodas4::stages(
+            y,
+            f0,
+            &[hg],
+            k,
+            ytmp,
+            y_new,
+            |x, out| compiled.derivative(x, out),
+            |b| lu.solve(sym, b, bperm),
+        );
         true
     }
 
-    /// A reused first-stage derivative must be the bits a fresh
-    /// evaluation at `y` gives (`f1` is scratch until the second stage).
-    #[cfg(debug_assertions)]
-    fn assert_f0_fresh(&mut self, compiled: &CompiledCrn, y: &[f64]) {
-        compiled.derivative(y, &mut self.f1);
-        for (i, (&cached, &fresh)) in self.f0.iter().zip(&self.f1).enumerate() {
-            assert!(
-                cached.to_bits() == fresh.to_bits(),
-                "reused f(y) of species {i} is {cached}, a fresh evaluation gives {fresh}"
-            );
+    /// Max over components of `|err| / (atol + rtol·max(|y|, |y_new|))`,
+    /// where `err` is the last trial step's error estimate `K_6`.
+    pub(crate) fn error_ratio(&self, y: &[f64], rtol: f64, atol: f64) -> f64 {
+        let mut worst = 0.0f64;
+        for (i, &e) in self.k[5 * self.n..].iter().enumerate() {
+            let scale = atol + rtol * y[i].abs().max(self.y_new[i].abs());
+            worst = worst.max(e.abs() / scale);
+        }
+        worst
+    }
+
+    /// Forms the continuous extension of the last (accepted) step. Only a
+    /// step that holds a recorded sample needs it.
+    pub(crate) fn prepare_dense(&mut self) {
+        let n = self.n;
+        for i in 0..n {
+            let (d2, d3) = rodas4::dense_coefficients(std::array::from_fn(|j| self.k[j * n + i]));
+            self.d2[i] = d2;
+            self.d3[i] = d3;
         }
     }
 
-    /// Max over components of `|err| / (atol + rtol·max(|y|, |y_new|))`.
-    pub(crate) fn error_ratio(&self, y: &[f64], rtol: f64, atol: f64) -> f64 {
-        let mut worst = 0.0f64;
-        for i in 0..self.n {
-            let scale = atol + rtol * y[i].abs().max(self.y_new[i].abs());
-            worst = worst.max(self.err[i].abs() / scale);
+    /// The continuous extension at `θ ∈ [0, 1]` of the step prepared by
+    /// [`prepare_dense`](Self::prepare_dense), from `y0` to the projected
+    /// state `y1`, into `out`.
+    pub(crate) fn dense_sample(&self, y0: &[f64], y1: &[f64], theta: f64, out: &mut [f64]) {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = rodas4::dense_value(y0[i], y1[i], theta, self.d2[i], self.d3[i]);
         }
-        worst
     }
 }
 
@@ -1218,10 +1388,10 @@ mod tests {
         // the sparse path factors the permuted W, the dense reference the
         // unpermuted one; both solve the same original-order system
         let mut wp = vec![0.0; sym.packed_len()];
-        sym.assemble(&jac_vals, 1e-4 * D, &mut wp);
+        sym.assemble(&jac_vals, 1e-4 * rodas4::GAMMA, &mut wp);
         let mut dense = Lu::default();
         assert!(
-            dense.factor_w(&compiled, &jac_vals, 1e-4 * D),
+            dense.factor_w(&compiled, &jac_vals, 1e-4 * rodas4::GAMMA),
             "nonsingular"
         );
         assert!(sym.factor(&mut wp), "guard must not trip on a tame W");
@@ -1385,8 +1555,8 @@ mod tests {
         compiled.jacobian_sparse(&x, &mut jac);
         let mut packed = vec![f64::NAN; sym.packed_len()];
         let mut dense = vec![f64::NAN; n * n];
-        sym.assemble(&jac, h * D, &mut packed);
-        dense_reference::assemble(sym, &jac, h * D, &mut dense);
+        sym.assemble(&jac, h * rodas4::GAMMA, &mut packed);
+        dense_reference::assemble(sym, &jac, h * rodas4::GAMMA, &mut dense);
         assert_packed_is_dense(sym, &packed, &dense, "assemble");
         if force_trip {
             // a vanishing pivot over a unit entry below it
@@ -1436,7 +1606,7 @@ mod tests {
         let need: Vec<bool> = (0..width).map(|_| rng.random::<f64>() < 0.75).collect();
         let all = need.iter().all(|&nd| nd);
         let hd: Vec<f64> = (0..width)
-            .map(|_| 1e-6 * (0.25f64 / 1e-6).powf(rng.random::<f64>()) * D)
+            .map(|_| 1e-6 * (0.25f64 / 1e-6).powf(rng.random::<f64>()) * rodas4::GAMMA)
             .collect();
         let mut jac = vec![0.0; nnz * width];
         let mut lane_jac = vec![0.0; nnz];
@@ -1528,9 +1698,9 @@ mod tests {
         let mut work = RosenbrockWork::new(&compiled);
         let y = State::from_vec(vec![1.0]);
         assert!(work.step(&compiled, y.as_slice(), 0.01));
-        // exp(-0.01) ≈ 0.99004983…; a 2nd-order step is close
-        assert!((work.y_new[0] - (-0.01f64).exp()).abs() < 1e-7);
-        assert!(work.error_ratio(y.as_slice(), 1e-6, 1e-9) < 100.0);
+        // exp(-0.01) ≈ 0.99004983…; a 4th-order step is within ~h⁵
+        assert!((work.y_new[0] - (-0.01f64).exp()).abs() < 1e-11);
+        assert!(work.error_ratio(y.as_slice(), 1e-6, 1e-9) < 1.0);
     }
 
     #[test]
@@ -1549,39 +1719,159 @@ mod tests {
         let mut fresh = RosenbrockWork::new(&compiled);
         assert!(fresh.step(&compiled, &yb, 0.02));
         assert_eq!(work.y_new, fresh.y_new);
-        assert_eq!(work.err, fresh.err);
+        assert_eq!(work.k, fresh.k);
     }
 
-    /// Accepted steps that hand their last-stage derivative on give the
-    /// bits of steps that re-evaluate it, including across states the
-    /// projection clamps: an annihilation overshoots below zero at large
-    /// steps.
+    /// A rejected step's retry from the same state reuses the Jacobian
+    /// and `f(y)` (and at a repeated `h` the LU), and gives the bits of a
+    /// fresh workspace.
     #[test]
-    fn accepted_steps_reuse_the_last_stage_derivative_bit_for_bit() {
+    fn a_retry_from_the_same_state_matches_a_fresh_workspace() {
         let crn: Crn = "X + Y -> 0 @fast\n0 -> X @slow\nX -> Y @slow"
             .parse()
             .unwrap();
         let compiled = CompiledCrn::new(&crn, &SimSpec::default());
-        let mut fsal = RosenbrockWork::new(&compiled);
-        let mut recompute = RosenbrockWork::new(&compiled);
-        let mut y = vec![3.0, 2.9];
-        let mut clamped = 0;
-        for step in 0..40 {
-            let h = 0.05 * (1 + step % 3) as f64;
-            assert!(fsal.step(&compiled, &y, h));
-            assert!(recompute.step(&compiled, &y, h));
-            assert_eq!(bits(&fsal.y_new), bits(&recompute.y_new), "step {step}");
-            assert_eq!(bits(&fsal.err), bits(&recompute.err), "step {step}");
-            fsal.accept();
-            recompute.invalidate();
-            y.copy_from_slice(&fsal.y_new);
-            for v in &mut y {
-                if *v < 0.0 {
-                    *v = 0.0;
-                    clamped += 1;
-                }
+        let y = [3.0, 2.9];
+        let mut work = RosenbrockWork::new(&compiled);
+        assert!(work.step(&compiled, &y, 0.2));
+        for h in [0.05, 0.05] {
+            assert!(work.step(&compiled, &y, h));
+            let mut fresh = RosenbrockWork::new(&compiled);
+            assert!(fresh.step(&compiled, &y, h));
+            assert_eq!(bits(&work.y_new), bits(&fresh.y_new), "h = {h}");
+            assert_eq!(bits(&work.k), bits(&fresh.k), "h = {h}");
+        }
+        assert_eq!(work.factorizations(), 2, "the repeated h reuses the LU");
+    }
+
+    // --- the tableau oracle: RODAS4's orders, dense output and stability ---
+
+    /// The two oracle networks: a bimolecular one, whose nonlinearity
+    /// reaches every `a_ij` (a linear problem alone would miss typos in
+    /// them), and a linear chain.
+    fn oracle_networks() -> Vec<(CompiledCrn, Vec<f64>)> {
+        [
+            ("A + B -> C @slow\nC -> A @slow", vec![2.0, 1.5, 0.0]),
+            (
+                "A -> B @1\nB -> C @3\nC -> D @0.5",
+                vec![1.0, 0.5, 0.25, 0.0],
+            ),
+        ]
+        .into_iter()
+        .map(|(src, init)| {
+            let crn: Crn = src.parse().expect("parses");
+            (CompiledCrn::new(&crn, &SimSpec::default()), init)
+        })
+        .collect()
+    }
+
+    fn max_dist(a: &[f64], b: &[f64]) -> f64 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max)
+    }
+
+    /// `steps` fixed RODAS4 steps over `[0, t_end]`, continuing from the
+    /// main solution, or with `embedded` from the embedded one `Y_6`.
+    fn fixed_steps(
+        compiled: &CompiledCrn,
+        init: &[f64],
+        t_end: f64,
+        steps: usize,
+        embedded: bool,
+    ) -> Vec<f64> {
+        let mut work = RosenbrockWork::new(compiled);
+        let h = t_end / steps as f64;
+        let mut y = init.to_vec();
+        for _ in 0..steps {
+            assert!(work.step(compiled, &y, h));
+            y.copy_from_slice(if embedded { &work.ytmp } else { &work.y_new });
+            work.invalidate();
+        }
+        y
+    }
+
+    /// `log2` of the error ratios between successive halvings of `h`.
+    fn observed_orders(errors: &[f64]) -> Vec<f64> {
+        errors.windows(2).map(|e| (e[0] / e[1]).log2()).collect()
+    }
+
+    /// Global error at `t = 2` over 20, 40, 80 and 160 fixed steps
+    /// against the RK4 reference: order 4 for the solution, 3 for the
+    /// embedded one.
+    #[test]
+    fn rodas4_shows_its_global_orders() {
+        for (compiled, init) in oracle_networks() {
+            let exact = crate::ode::tests::rk4_reference(&compiled, &init, 2.0, 1e-4);
+            for (embedded, floor) in [(false, 3.8), (true, 2.8)] {
+                let errors: Vec<f64> = [20, 40, 80, 160]
+                    .iter()
+                    .map(|&steps| {
+                        max_dist(&fixed_steps(&compiled, &init, 2.0, steps, embedded), &exact)
+                    })
+                    .collect();
+                let orders = observed_orders(&errors);
+                assert!(
+                    orders.iter().all(|&p| p >= floor),
+                    "embedded {embedded}: errors {errors:?}, orders {orders:?}"
+                );
             }
         }
-        assert!(clamped > 0, "no step left the orthant");
+    }
+
+    /// The continuous extension's interior local error, at `θ = 1/2` of
+    /// one step from the initial state, falls at least 10× per halving
+    /// of `h` (order 3 gives 16× asymptotically), and the extension
+    /// returns both step ends exactly.
+    #[test]
+    fn rodas4_dense_output_converges_inside_the_step() {
+        for (compiled, init) in oracle_networks() {
+            let n = init.len();
+            let mut errors = Vec::new();
+            for h in [0.05, 0.025, 0.0125] {
+                let mut work = RosenbrockWork::new(&compiled);
+                assert!(work.step(&compiled, &init, h));
+                work.prepare_dense();
+                let mut mid = vec![0.0; n];
+                work.dense_sample(&init, &work.y_new, 0.5, &mut mid);
+                let exact = crate::ode::tests::rk4_reference(&compiled, &init, 0.5 * h, 1e-5);
+                errors.push(max_dist(&mid, &exact));
+                let mut end = vec![0.0; n];
+                work.dense_sample(&init, &work.y_new, 0.0, &mut end);
+                assert_eq!(bits(&end), bits(&init));
+                work.dense_sample(&init, &work.y_new, 1.0, &mut end);
+                assert_eq!(bits(&end), bits(&work.y_new));
+            }
+            let falls: Vec<f64> = errors.windows(2).map(|e| e[0] / e[1]).collect();
+            assert!(
+                falls.iter().all(|&f| f >= 10.0),
+                "errors {errors:?}, falls {falls:?}"
+            );
+        }
+    }
+
+    /// L-stability: on `y' = λy` a step of `hλ = −10⁸` damps both the
+    /// solution and the embedded one below `10⁻⁶`. The stages run on the
+    /// scalar linear problem itself, because a mass-action network's
+    /// derivative clamps the negative stage states such a step passes
+    /// through.
+    #[test]
+    fn rodas4_is_l_stable() {
+        let z = -1e8;
+        let (mut k, mut ytmp, mut y_new) = ([0.0; 6], [0.0], [0.0]);
+        rodas4::stages(
+            &[1.0],
+            &[z],
+            &[rodas4::GAMMA],
+            &mut k,
+            &mut ytmp,
+            &mut y_new,
+            |x, out| out[0] = z * x[0],
+            |b| b[0] /= 1.0 - rodas4::GAMMA * z,
+        );
+        let (main, embedded) = (y_new[0], ytmp[0]);
+        assert!(main.abs() < 1e-6, "|R(−1e8)| = {main:e}");
+        assert!(embedded.abs() < 1e-6, "embedded |R(−1e8)| = {embedded:e}");
     }
 }

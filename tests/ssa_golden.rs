@@ -8,13 +8,17 @@
 //! `SimMetrics` counters. The SSA hashes were recorded from the
 //! full-recompute direct method (every propensity re-evaluated at every
 //! event), so any change to the engine's propensity bookkeeping has to
-//! reproduce those runs bit for bit. The ODE, harness and tau-leap hashes
-//! were recorded before RK4, Cash–Karp, the Jacobian-reuse knob and the
-//! stochastic lanes were deleted; every ODE case runs through the scalar
-//! `Simulation` path and through `run_ode_batch` at widths 1, 2, 3 and 4.
-//! The implicit tau-leap and hybrid hashes, and the width-2 and width-3
-//! lane runs, were recorded before the sparse LU moved to packed storage:
-//! both engines factor their `W` with that LU.
+//! reproduce those runs bit for bit. The tau-leap hashes were recorded
+//! before RK4, Cash–Karp, the Jacobian-reuse knob and the stochastic lanes
+//! were deleted. The implicit tau-leap and hybrid hashes were recorded
+//! before the sparse LU moved to packed storage: both engines factor their
+//! `W` with that LU. The ODE and cycle-harness hashes were re-recorded
+//! when the ODE engine moved from ode23s to RODAS4 with samples from its
+//! continuous extension (and the harness's absolute tolerance from 1e-8
+//! to 1e-10), a change of arithmetic on purpose that the closed-form,
+//! tableau and circuit oracles vouch for; the ODE step budget and hook
+//! cut shrank with the step count, so both still stop a run mid-span. Every ODE case runs through the scalar `Simulation` path and
+//! through `run_ode_batch` at widths 1, 2, 3 and 4.
 
 use molseq::crn::{Crn, RateAssignment};
 use molseq::dsp::moving_average;
@@ -326,8 +330,8 @@ const ODE_VARIANTS: [Variant; 4] = [
     Variant::Hook(ODE_HOOK_CUT),
 ];
 
-const ODE_STEP_CUT: usize = 20_000;
-const ODE_HOOK_CUT: u64 = 15_000;
+const ODE_STEP_CUT: usize = 4_000;
+const ODE_HOOK_CUT: u64 = 3_000;
 
 fn ode_options<'h>(
     lane: &Lane,
@@ -443,10 +447,10 @@ fn counter2_ode_trajectories_match_their_golden_hashes() {
     check_ode(
         &counter2(),
         [
-            0xe092_227d_3299_d4a2,
-            0xedbc_00ba_9941_8519,
-            0x72fe_280e_a257_7580,
-            0x3bad_472d_5aa1_a53b,
+            0xe270_42bc_ecf0_19a4,
+            0x17a3_3f80_cd06_2d49,
+            0x5d5b_0671_6675_0a47,
+            0x8c3e_3fca_dc2d_2f32,
         ],
         [[1, 0, 1, 0], [2, 1, 0, 0], [3, 2, 1, 0]],
     );
@@ -457,12 +461,12 @@ fn moving_average2_ode_trajectories_match_their_golden_hashes() {
     check_ode(
         &filter2(),
         [
-            0xc250_1e56_5b36_c457,
-            0xb537_ccac_a005_1351,
-            0x291a_7bc8_fb7a_181a,
-            0x15a1_5fbc_7df6_a069,
+            0xab88_da9f_3f10_19da,
+            0x829e_29f1_dd8d_2db6,
+            0x545d_8c4c_3c06_53a7,
+            0x28aa_bcb9_aa48_c2a6,
         ],
-        [[1, 0, 1, 0], [2, 1, 0, 0], [3, 2, 1, 0]],
+        [[0, 1, 1, 0], [1, 2, 0, 0], [2, 3, 1, 0]],
     );
 }
 
@@ -509,7 +513,7 @@ fn cycle_harness_runs_match_their_golden_hashes() {
     let hashes = [drive_hash(&counter2()), drive_hash(&filter2())];
     assert_eq!(
         hashes,
-        [0x1efd_db67_752c_d950, 0x2d03_86e9_5cb2_7a60],
+        [0x0be7_b0fb_94c1_0df1, 0x5cad_2f08_ee30_32b9],
         "harness hashes moved: {hashes:x?}"
     );
 }
@@ -642,12 +646,12 @@ fn cycle_harness_prefixes_match_their_golden_hashes() {
     assert_eq!(
         hashes,
         [
-            0x8622_c5e2_bbf9_0df2,
-            0xcf95_ddb3_654e_5d81,
-            0x8622_c5e2_bbf9_0df2,
-            0xcf95_ddb3_654e_5d81,
-            0x2826_e98c_c96e_2f2e,
-            0x8622_c5e2_bbf9_0df2,
+            0x2202_a8c7_1840_eec6,
+            0x0ab0_4514_4489_b14d,
+            0x2202_a8c7_1840_eec6,
+            0x0ab0_4514_4489_b14d,
+            0xa7dc_54ef_8a1e_52e5,
+            0x2202_a8c7_1840_eec6,
         ],
         "harness prefix hashes moved: {hashes:x?}"
     );
@@ -677,7 +681,7 @@ fn a_stopped_harness_run_is_a_prefix_of_the_fixed_horizon_run() {
             OdeOptions::default()
                 .with_t_end(12.0 * (cycles + 1) as f64)
                 .with_record_interval(0.1)
-                .with_tolerances(1e-5, 1e-8),
+                .with_tolerances(1e-5, 1e-10),
         )
         .run()
         .expect("runs");
