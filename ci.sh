@@ -33,9 +33,9 @@
 #                     cancel and budget-exceeded probes; the server must
 #                     exit cleanly on the wire shutdown op
 #  12. batched ODE     repro e6 on its full 7-cell grid at --batch 2/4/8
-#                     (lane groups 2+2+2 plus a scalar singleton, 4+3 —
-#                     width 3 runs the dynamic-width kernels — and 7)
-#                     must reproduce the scalar run: reports
+#                     (lane groups 2+2+2 plus a one-lane singleton, 4+3
+#                     — width 3 runs the dynamic-width kernels — and 7)
+#                     must reproduce the one-lane run: reports
 #                     byte-identical, summary labels, statuses and
 #                     deterministic counters byte-identical, batch_width
 #                     columns reading those groups, wall and batch-shape
@@ -74,7 +74,8 @@
 #  16. benchmark pkg   perfbench/ is a workspace of its own, so stages
 #                     1-5 never build it: fmt, clippy -D warnings and its
 #                     tests run against its manifest, and one short
-#                     ssa_panels run must pass its E10 output checks
+#                     ssa_panels run and one short ode_sweep run (the
+#                     one-lane ODE driver) must pass their output checks
 #  17. ODE oracle      the ignored circuit oracle
 #                     (tests/ode_circuit_oracle.rs), in release: the
 #                     ode_sweep circuits at the cycle harness's
@@ -253,7 +254,7 @@ target/release/trend "$SWEEP_TMP/srv_w1" "$SWEEP_TMP/srv_w4" > "$SWEEP_TMP/trend
   || { echo "ci: trend gate failed across server worker counts" >&2
        cat "$SWEEP_TMP/trend_serve.md" >&2; exit 1; }
 
-echo "== batched ODE: lock-step batch reproduces the scalar sweep =="
+echo "== batched ODE: lock-step batch reproduces the one-lane sweep =="
 # the full e6 grid (7 ratios; --quick sweeps only 2, a single width-2
 # group at every --batch) so the widths reach 2, 3, 4 and 7
 target/release/repro e6 --jobs 2 --summary "$SWEEP_TMP/e6_scalar" > "$SWEEP_TMP/report_e6_scalar.txt"
@@ -476,7 +477,7 @@ set -e
 echo "$NL_BAD_MSG" | grep -q "line 2" \
   || { echo "ci: bad-netlist error does not carry its source position: $NL_BAD_MSG" >&2; exit 1; }
 
-echo "== benchmark package: fmt, clippy, tests, one checked ssa_panels run =="
+echo "== benchmark package: fmt, clippy, tests, checked ssa_panels and ode_sweep runs =="
 # a kinetics API change (a removed method, a renamed type) must break here,
 # not in the next benchmark run
 cargo fmt --manifest-path perfbench/Cargo.toml --check
@@ -486,6 +487,10 @@ cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
   --workload ssa_panels --seed 1 --seconds 1 --trace 0 > "$SWEEP_TMP/perfbench_ssa.txt" \
   || { echo "ci: perfbench ssa_panels failed its output checks" >&2
        tail -n 20 "$SWEEP_TMP/perfbench_ssa.txt" >&2; exit 1; }
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload ode_sweep --seed 1 --seconds 1 --trace 0 > "$SWEEP_TMP/perfbench_ode.txt" \
+  || { echo "ci: perfbench ode_sweep failed its output checks" >&2
+       tail -n 20 "$SWEEP_TMP/perfbench_ode.txt" >&2; exit 1; }
 
 echo "== ODE oracle: the harness's tolerances against a tight reference =="
 # ignored by tier-1, whose unoptimized build would take minutes; in

@@ -42,8 +42,8 @@ pub use via_server::run_via_server;
 use molseq_crn::Crn;
 use molseq_dsp::Filter;
 use molseq_kinetics::{
-    BatchedOdeWorkspace, CompiledCrn, MetricsSink, Replicator, Schedule, SimError, SimMetrics,
-    SimSpec, Simulation, SsaOptions, State, StepHook, Trace,
+    CompiledCrn, MetricsSink, OdeWorkspace, Replicator, Schedule, SimError, SimMetrics, SimSpec,
+    Simulation, SsaOptions, State, StepHook, Trace,
 };
 use molseq_sweep::{
     GroupJob, JobBudget, JobCtx, JobError, SweepJob, SweepOptions, SweepSummary, SweepUnit,
@@ -75,10 +75,10 @@ pub struct ExpCtx {
     pub summary_dir: Option<PathBuf>,
     /// Lock-step batch width for the ODE sweep experiments: how many
     /// structurally identical cells advance together through one
-    /// `molseq_kinetics::run_ode_batch` call. `0` or `1` = scalar cells;
-    /// stochastic sweeps always run scalar cells. Results are
-    /// bit-identical at any width; only the wall time and the
-    /// `batch_width`/`lanes_retired` metrics change.
+    /// `molseq_kinetics::run_ode_batch` call. `0` or `1` = one-lane cells
+    /// through `Simulation`; stochastic sweeps always run one cell at a
+    /// time. Results are bit-identical at any width; only the wall time
+    /// and the `batch_width`/`lanes_retired` metrics change.
     pub batch: usize,
 }
 
@@ -278,7 +278,7 @@ where
                         },
                     })
                     .collect();
-                let mut workspace = BatchedOdeWorkspace::new();
+                let mut workspace = OdeWorkspace::new();
                 match filter.respond_batch(samples, &cells, &mut workspace) {
                     Ok(results) => results
                         .into_iter()

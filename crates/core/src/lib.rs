@@ -88,6 +88,9 @@ pub use error::SyncError;
 pub use fsm::Fsm;
 pub use measure::{stored_final_value, stored_value_at, stored_value_terms};
 pub use programs::{IterativeLog2, IterativeMultiplier};
-pub use runner::{drive_cycles, drive_cycles_batch, BatchCell, CycleResources, RunConfig, SyncRun};
+pub use runner::{
+    drive_cycles, drive_cycles_batch, BatchCell, CycleResources, RunConfig, SyncRun,
+    HARNESS_ODE_TOLERANCES,
+};
 pub use scheme::{ClockSpec, SchemeBuilder, SchemeConfig};
 pub use system::{ClockHandles, CompiledSystem, RegisterHandles};

@@ -16,25 +16,31 @@
 use crate::{CompiledSystem, SyncError};
 use molseq_crn::SpeciesId;
 use molseq_kinetics::{
-    run_ode_batch, BatchLane, BatchedOdeWorkspace, CompiledCrn, MetricsSink, OdeOptions,
-    OdeWorkspace, Schedule, SimMethod, SimSpec, Simulation, SsaOptions, StepHook, Trace,
+    run_ode_batch, BatchLane, CompiledCrn, MetricsSink, OdeOptions, OdeWorkspace, Schedule,
+    SimMethod, SimSpec, Simulation, SsaOptions, StepHook, Trace,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// The ODE options of one harness pass over `[0, t_end]`: Rosenbrock at
-/// `rtol = 1e-5`, one order looser than the integrator's default, and
-/// `atol = 1e-10`. The absolute tolerance is this tight because the
-/// clocked circuits amplify species far below the signal level: at
-/// ratios near 10² a counter's leak seeds grow into its registers, and
-/// RODAS4 at `atol = 1e-8` put a 3-bit counter's registers up to 1.7e-3
-/// of the amplitude off a tight reference (`tests/ode_circuit_oracle.rs`
-/// bounds that at 1e-3) for about 20 % fewer steps than at `1e-10`.
+/// The `(rtol, atol)` of every harness ODE run: `rtol = 1e-5`, one
+/// order looser than the integrator's default, and `atol = 1e-10`. The
+/// absolute tolerance is this tight because the clocked circuits amplify
+/// species far below the signal level: at ratios near 10² a counter's
+/// leak seeds grow into its registers, and RODAS4 at `atol = 1e-8` put a
+/// 3-bit counter's registers up to 1.7e-3 of the amplitude off a tight
+/// reference (`tests/ode_circuit_oracle.rs` bounds that at 1e-3) for
+/// about 20 % fewer steps than at `1e-10`. A constant, not an option: the
+/// golden hashes and the circuit oracle read it from here.
+pub const HARNESS_ODE_TOLERANCES: (f64, f64) = (1e-5, 1e-10);
+
+/// The ODE options of one harness pass over `[0, t_end]`, at
+/// [`HARNESS_ODE_TOLERANCES`].
 fn harness_ode_options<'h>(t_end: f64, record_interval: f64) -> OdeOptions<'h> {
+    let (rtol, atol) = HARNESS_ODE_TOLERANCES;
     OdeOptions::default()
         .with_t_end(t_end)
         .with_record_interval(record_interval)
-        .with_tolerances(1e-5, 1e-10)
+        .with_tolerances(rtol, atol)
 }
 
 /// Configuration for [`drive_cycles`].
@@ -54,7 +60,7 @@ pub struct RunConfig<'h> {
     /// Trace recording interval.
     pub record_interval: f64,
     /// Simulation method driving the kinetics. [`SimMethod::Ode`]
-    /// (the default, Rosenbrock at `rtol = 1e-5`, `atol = 1e-10`) and
+    /// (the default, Rosenbrock at [`HARNESS_ODE_TOLERANCES`]) and
     /// [`SimMethod::Ssa`] are supported; the tau-leaping methods reject
     /// the harness's input triggers.
     pub sim: SimMethod,
@@ -471,8 +477,8 @@ pub struct BatchCell<'a, 'h> {
 /// through the batched ODE engine
 /// ([`run_ode_batch`](molseq_kinetics::run_ode_batch)): one shared
 /// symbolic factorization, all cells advancing together, each lane
-/// bit-identical to a solo [`drive_cycles`] call with the same
-/// configuration. Inputs, the cycle count and the initial state are
+/// bit-identical to a solo [`drive_cycles`] call (a one-lane run) with
+/// the same configuration. Inputs, the cycle count and the initial state are
 /// shared; rates, hooks, sinks and horizon caps are per cell.
 ///
 /// One batched pass serves every cell: each lane stops at the close of
@@ -496,7 +502,7 @@ pub fn drive_cycles_batch(
     inputs: &[(&str, &[f64])],
     cycles: usize,
     cells: &[BatchCell<'_, '_>],
-    workspace: &mut BatchedOdeWorkspace,
+    workspace: &mut OdeWorkspace,
 ) -> Result<Vec<Result<SyncRun, SyncError>>, SyncError> {
     for cell in cells {
         assert!(
@@ -718,7 +724,7 @@ mod tests {
         assert!(t_last < 48.0, "stopped at {t_last}");
     }
 
-    /// The batched harness reproduces solo scalar runs bit for bit: same
+    /// The batched harness reproduces solo one-lane runs bit for bit: same
     /// sample times, same register series, same trace, stop time and step
     /// counts, per rate binding, although its lanes stop at different
     /// times.
@@ -754,7 +760,7 @@ mod tests {
                 },
             })
             .collect();
-        let mut ws = BatchedOdeWorkspace::new();
+        let mut ws = OdeWorkspace::new();
         let batched = drive_cycles_batch(&sys, &inputs, 3, &cells, &mut ws).unwrap();
         let mut stops = Vec::new();
         for ((c, result), sink) in compiled.iter().zip(batched).zip(&sinks) {
@@ -848,7 +854,7 @@ mod tests {
                 config: RunConfig::default(),
             },
         ];
-        let runs = drive_cycles_batch(&sys, &[], 2, &cells, &mut BatchedOdeWorkspace::new())
+        let runs = drive_cycles_batch(&sys, &[], 2, &cells, &mut OdeWorkspace::new())
             .expect("shared setup");
         assert!(matches!(
             runs[0],
@@ -896,7 +902,7 @@ mod tests {
             config: RunConfig::default(),
         }];
         assert!(matches!(
-            drive_cycles_batch(&sys, &[], 0, &cells, &mut BatchedOdeWorkspace::new()),
+            drive_cycles_batch(&sys, &[], 0, &cells, &mut OdeWorkspace::new()),
             Err(SyncError::InvalidAmount { .. })
         ));
     }

@@ -1,7 +1,7 @@
 //! Ready-made filter structures with ideal reference models.
 
 use crate::{Ratio, SfgBuilder};
-use molseq_kinetics::{BatchedOdeWorkspace, CompiledCrn};
+use molseq_kinetics::{CompiledCrn, OdeWorkspace};
 use molseq_sync::{
     drive_cycles, drive_cycles_batch, BatchCell, ClockSpec, CompiledSystem, CycleResources,
     RunConfig, SyncError,
@@ -118,7 +118,7 @@ impl Filter {
         &self,
         samples: &[f64],
         cells: &[BatchCell<'_, '_>],
-        workspace: &mut BatchedOdeWorkspace,
+        workspace: &mut OdeWorkspace,
     ) -> Result<Vec<Result<Vec<f64>, SyncError>>, SyncError> {
         let runs = drive_cycles_batch(
             &self.system,
@@ -346,7 +346,7 @@ mod tests {
                 config: RunConfig::default(),
             })
             .collect();
-        let mut ws = BatchedOdeWorkspace::new();
+        let mut ws = OdeWorkspace::new();
         let batched = f.respond_batch(&samples, &cells, &mut ws).unwrap();
         assert_eq!(batched.len(), ratios.len());
         for (c, result) in compiled.iter().zip(batched) {

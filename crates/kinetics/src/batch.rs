@@ -1,5 +1,20 @@
-//! Lock-step batched ODE integration: N structurally identical cells, one
-//! symbolic analysis, structure-of-arrays state.
+//! Deterministic mass-action ODE integration: the one driver, running
+//! N structurally identical cells in lock-step, one symbolic analysis,
+//! structure-of-arrays state. A single cell is a batch of one lane.
+//!
+//! The method is the adaptive linearly implicit Rosenbrock method RODAS4,
+//! order 4 with an embedded order-3 estimate, with the analytic
+//! mass-action Jacobian (see [`crate::stiff`]). The networks in this
+//! workspace mix rate constants spanning several orders of magnitude
+//! (`k_fast/k_slow` up to 10⁵ in the robustness sweeps), which makes them
+//! stiff: explicit steps would be stability-limited to `~1/(k_fast·X)`,
+//! while a linearly implicit method steps over the fast transients at
+//! accuracy-limited step sizes. Each lane's state is projected onto the
+//! non-negative orthant after every accepted step; mass-action fluxes
+//! already treat negative concentrations as zero, so the projection is a
+//! stabilizer, not a model change. Recorded samples come from RODAS4's
+//! own order-3 continuous extension over the step that holds them,
+//! clamped the same way.
 //!
 //! The rate-ratio sweeps behind the paper's figures simulate one network
 //! under many rate bindings: every cell shares the CRN structure, hence
@@ -10,36 +25,37 @@
 //! nonzeros with shared index decoding, assembles and factors every
 //! stale lane's `W` in one pass over the shared packed elimination
 //! structure, and runs RODAS4's six stages — right-hand sides and stage
-//! solves — for all lanes at once, through the same stage routine the
-//! scalar stepper uses ([`rodas4::stages`]).
+//! solves — for all lanes at once ([`rodas4::stages`]). A batch of one
+//! lane runs the scalar kernels (`CompiledCrn::derivative`,
+//! `jacobian_sparse` and the packed `Symbolic::assemble`, `factor` and
+//! `solve`), which the lane kernels reproduce bit for bit.
 //!
 //! State lives species-major, lane-contiguous (`x[i * width + l]`), so
 //! the inner loops are stride-1 over lanes and autovectorize — no
 //! intrinsics, plain `std`.
 //!
-//! **Determinism contract.** Every lane reproduces the scalar
-//! [`run_ode`](crate::ode) path *bit for bit*, at any batch width: lanes
-//! share index structure, never floating-point values. Each lane keeps
-//! its own step controller (`h`), Jacobian and `f(x)` freshness flags,
-//! cached-LU key and metrics; everywhere the scalar code path has a
-//! data-dependent skip (zero flux, zero Jacobian partial, zero
-//! multiplier, cached factorization), the batched kernels use a per-lane
-//! select of the same condition, preserving even `-0.0` signs. The
-//! full-width `f(x)` pass runs only when some attempting lane lacks a
-//! fresh one (a lane holds one only after a rejection: an accepted step
-//! moves its state); a lane that holds one gets the same bits from the
-//! pass again, since its state has not moved.
-//! A lane that holds a recorded sample forms the continuous extension of
-//! its step on its own, with the scalar stepper's per-component
-//! arithmetic. Lanes that finish (at `t_end` or on their stop hook),
-//! fail, or get budget-cut *retire*: their state is zeroed (keeping the
-//! unmasked full-width arithmetic finite) and they stop contributing
-//! bookkeeping, while surviving lanes continue unperturbed.
+//! **Determinism contract.** Every lane reproduces the one-lane run of
+//! its cell *bit for bit*, at any batch width: lanes share index
+//! structure, never floating-point values. Each lane keeps its own step
+//! controller (`h`), Jacobian and `f(x)` freshness flags, cached-LU key
+//! and metrics; everywhere the scalar kernels have a data-dependent skip
+//! (zero flux, zero Jacobian partial, zero multiplier, cached
+//! factorization), the lane kernels use a per-lane select of the same
+//! condition, preserving even `-0.0` signs. The full-width `f(x)` pass
+//! runs only when some attempting lane lacks a fresh one (a lane holds
+//! one only after a rejection: an accepted step moves its state); a lane
+//! that holds one gets the same bits from the pass again, since its
+//! state has not moved. A lane that holds a recorded sample forms the
+//! continuous extension of its step on its own. Lanes that finish (at
+//! `t_end` or on their stop hook), fail, or get budget-cut *retire*:
+//! their state is zeroed (keeping the unmasked full-width arithmetic
+//! finite) and they stop contributing bookkeeping, while surviving lanes
+//! continue unperturbed.
 
 use crate::compiled::CompiledCrn;
 use crate::events::{Injection, TriggerRuntime};
 use crate::metrics::SimMetrics;
-use crate::ode::{expected_records, initial_step, OdeOptions};
+use crate::ode::OdeOptions;
 use crate::sim::check_record_interval;
 use crate::stiff::{rodas4, Lu, Symbolic};
 use crate::{Schedule, SimError, State, Trace};
@@ -64,12 +80,23 @@ pub struct BatchLane<'a, 'h> {
     pub options: OdeOptions<'h>,
 }
 
-/// Reusable storage for [`run_ode_batch`]: the shared symbolic
-/// factorization plus every structure-of-arrays buffer, sized lazily per
-/// call and reused across calls (consecutive sweep batches over the same
-/// network structure pay no re-analysis and no re-allocation).
+/// Reusable integrator storage for every engine that solves with
+/// `W = I − h·γ·J`: the ODE lanes' shared symbolic factorization and
+/// structure-of-arrays buffers, the implicit tau-leaper's Newton buffers
+/// and the hybrid engine's fast-subsystem stepper. Every part is sized
+/// lazily by the engine that uses it, so a purely stochastic or purely
+/// deterministic caller pays only for its own. `W`'s pivoted dense
+/// fallbacks hold no `n×n` buffer until a stability guard first trips.
+///
+/// One workspace serves any number of runs, of any width, over any
+/// networks (attach it with `Simulation::workspace`, or pass it to
+/// [`run_ode_batch`]): buffers are (re)sized to the network of each call
+/// and every cached numerical state is rebuilt on entry, so a reused
+/// workspace produces bit-identical results to a fresh one, while
+/// consecutive runs over one network structure pay no re-analysis and no
+/// re-allocation.
 #[derive(Default)]
-pub struct BatchedOdeWorkspace {
+pub struct OdeWorkspace {
     sym: Option<Symbolic>,
     /// SoA state and stage buffers, `n × width`, lane-contiguous.
     x: Vec<f64>,
@@ -113,13 +140,19 @@ pub struct BatchedOdeWorkspace {
     /// buffer on its lane's first guard trip and keeps it across calls
     /// as capacity; it is numerically rebuilt whenever used.
     dense: Vec<Lu>,
+    /// Newton solver buffers for the implicit tau-leaper; sized lazily by
+    /// `run_tau_implicit`.
+    pub(crate) newton: Option<crate::tau_implicit::NewtonWork>,
+    /// Fast-subsystem stepper buffers for the hybrid ODE/SSA engine; sized
+    /// lazily by `run_hybrid`.
+    pub(crate) hybrid: Option<crate::hybrid::HybridWork>,
 }
 
-impl BatchedOdeWorkspace {
+impl OdeWorkspace {
     /// An empty workspace; buffers are allocated on first use.
     #[must_use]
     pub fn new() -> Self {
-        BatchedOdeWorkspace::default()
+        OdeWorkspace::default()
     }
 
     fn prepare(&mut self, reference: &CompiledCrn, wd: usize) {
@@ -198,7 +231,7 @@ pub(crate) fn store_lane(soa: &mut [f64], buf: &[f64], wd: usize, l: usize) {
     }
 }
 
-/// Everything one lane owns: the scalar driver's locals, per-lane.
+/// Everything one lane owns: its controller, caches, cursors and trace.
 struct LaneState<'a, 'h> {
     compiled: &'a CompiledCrn,
     schedule: &'a Schedule,
@@ -215,9 +248,12 @@ struct LaneState<'a, 'h> {
     h_adaptive: f64,
     next_record: f64,
     steps_used: usize,
-    // Rosenbrock cache flags, mirroring `RosenbrockWork`
+    /// `jac_vals` was evaluated at the current state.
     jac_fresh: bool,
+    /// `f0` holds `f(x)` at the current state, from a rejected trial.
     f0_fresh: bool,
+    /// The lane's factor of `W` is valid for `lu_h` and its current
+    /// Jacobian; `lu_sparse` tells the packed factor from the dense one.
     lu_valid: bool,
     lu_sparse: bool,
     lu_h: f64,
@@ -226,37 +262,39 @@ struct LaneState<'a, 'h> {
     done: Option<Result<(), SimError>>,
 }
 
+/// Checks one lane's dimensions, span and sampling interval.
+fn validate(crn: &Crn, lane: &BatchLane) -> Result<(), SimError> {
+    let opts = &lane.options;
+    for supplied in [lane.compiled.species_count(), lane.init.len()] {
+        if supplied != crn.species_count() {
+            return Err(SimError::DimensionMismatch {
+                supplied,
+                expected: crn.species_count(),
+            });
+        }
+    }
+    if !opts.t_start().is_finite() || !opts.t_end().is_finite() || opts.t_end() <= opts.t_start() {
+        return Err(SimError::BadTimeSpan {
+            t_start: opts.t_start(),
+            t_end: opts.t_end(),
+        });
+    }
+    check_record_interval(opts.record_interval())
+}
+
 impl<'a, 'h> LaneState<'a, 'h> {
     fn new(crn: &Crn, lane: &BatchLane<'a, 'h>) -> Self {
         let opts = lane.options;
         let (rtol, atol) = opts.tolerances();
-        // validation mirrors run_ode's, per lane
-        let done = if lane.compiled.species_count() != crn.species_count() {
-            Some(Err(SimError::DimensionMismatch {
-                supplied: lane.compiled.species_count(),
-                expected: crn.species_count(),
-            }))
-        } else if lane.init.len() != crn.species_count() {
-            Some(Err(SimError::DimensionMismatch {
-                supplied: lane.init.len(),
-                expected: crn.species_count(),
-            }))
-        } else if !opts.t_start().is_finite()
-            || !opts.t_end().is_finite()
-            || opts.t_end() <= opts.t_start()
-        {
-            Some(Err(SimError::BadTimeSpan {
-                t_start: opts.t_start(),
-                t_end: opts.t_end(),
-            }))
-        } else {
-            check_record_interval(opts.record_interval()).err().map(Err)
-        };
+        // validate before anything reads `init` by species index
+        let done = validate(crn, lane).err().map(Err);
         let mut trace = Trace::with_capacity(crn, expected_records(&opts, lane.schedule));
-        let triggers = TriggerRuntime::new(lane.schedule, lane.init.as_slice());
-        if done.is_none() {
+        let triggers = if done.is_none() {
             trace.push(opts.t_start(), lane.init.as_slice());
-        }
+            TriggerRuntime::new(lane.schedule, lane.init.as_slice())
+        } else {
+            TriggerRuntime::default()
+        };
         LaneState {
             compiled: lane.compiled,
             schedule: lane.schedule,
@@ -284,10 +322,36 @@ impl<'a, 'h> LaneState<'a, 'h> {
     }
 }
 
+/// Expected number of recorded samples, used to preallocate the trace:
+/// one per recording interval plus one per injection plus the endpoints.
+/// Trigger firings add a few more; the estimate is a capacity hint, not a
+/// bound, and is capped so absurd intervals cannot over-reserve. A run
+/// with a [`StopHook`](crate::StopHook) may end anywhere in its span, so
+/// its trace grows with what it records instead.
+fn expected_records(opts: &OdeOptions, schedule: &Schedule) -> usize {
+    if opts.stop_hook().is_some() {
+        return 0;
+    }
+    let span = opts.t_end() - opts.t_start();
+    let dt = opts.record_interval();
+    let regular = if dt.is_finite() && dt > 0.0 {
+        (span / dt).ceil() as usize
+    } else {
+        0
+    };
+    (regular + schedule.injections().len() + 2).min(1 << 20)
+}
+
+/// The first trial step: the sampling interval, at most 1 % of the span.
+fn initial_step(opts: &OdeOptions) -> f64 {
+    let span = opts.t_end() - opts.t_start();
+    (opts.record_interval().min(span / 100.0)).max(span * 1e-9)
+}
+
 /// Finishes a lane: flushes its metrics (every exit path reports its
-/// cost, as in the scalar driver), records the retirement ordinal, marks
-/// it done and zeroes its state lanes so the unmasked full-width stage
-/// arithmetic stays finite for the survivors.
+/// cost), records the retirement ordinal, marks it done and zeroes its
+/// state lanes so the unmasked full-width stage arithmetic stays finite
+/// for the survivors.
 fn retire_lane(
     st: &mut LaneState,
     outcome: Result<(), SimError>,
@@ -299,7 +363,8 @@ fn retire_lane(
     let n = st.compiled.species_count();
     st.metrics.final_time = st.t;
     st.metrics.lu_factorizations = st.factorizations;
-    st.metrics.batch_width = wd as u64;
+    // a run of one lane reports no batch, as every scalar engine does
+    st.metrics.batch_width = if wd > 1 { wd as u64 } else { 0 };
     st.metrics.lanes_retired = *retired;
     *retired += 1;
     SimMetrics::flush(st.opts.metrics_sink(), st.metrics);
@@ -324,9 +389,11 @@ fn complete_lane(
     st.trace.push(st.t, lane_buf);
 }
 
-/// Replays the scalar driver's between-steps bookkeeping for one lane
-/// until it is either ready to attempt a step (returns `true`) or done
-/// (completed, step-limited — returns `false` with `st.done` set).
+/// Walks one lane through its between-steps bookkeeping until it is
+/// either ready to attempt a step (returns `true`) or done (completed or
+/// step-limited — returns `false` with `st.done` set). Between segments,
+/// and at the end of the span before the lane completes, it applies the
+/// injections due by then and polls the triggers.
 fn advance_to_attempt(
     st: &mut LaneState,
     x: &mut [f64],
@@ -338,13 +405,13 @@ fn advance_to_attempt(
     loop {
         let t_end = st.opts.t_end();
         if st.t < t_end {
+            // the next hard stop: injection time or end of span
             let segment_end = st
                 .injections
                 .get(st.next_injection)
                 .map_or(t_end, |inj| inj.time.clamp(st.opts.t_start(), t_end));
             if segment_end > st.t && st.t < segment_end - 1e-15 {
-                // about to attempt a step: the scalar loop checks the
-                // budget first
+                // about to attempt a step: the budget comes first
                 if st.steps_used >= st.opts.max_steps() {
                     retire_lane(
                         st,
@@ -363,34 +430,35 @@ fn advance_to_attempt(
                 st.segment_end = segment_end;
                 return true;
             }
-            // segment boundary: apply due injections, then poll triggers
-            let mut injected = false;
-            while let Some(inj) = st.injections.get(st.next_injection) {
-                if inj.time <= st.t + 1e-12 {
-                    x[inj.species.index() * wd + l] += inj.amount;
-                    st.next_injection += 1;
-                    injected = true;
-                } else {
-                    break;
-                }
-            }
-            if injected {
-                extract_lane(x, lane_buf, wd, l);
-                st.trace.push(st.t, lane_buf);
-                let fired = st.triggers.poll(st.schedule, st.t, lane_buf);
-                store_lane(x, lane_buf, wd, l);
-                for f in fired {
-                    st.trace.push_mark(st.t, f);
-                }
-                // the state jumped: cached Jacobian and f(x) are for the
-                // old state
-                st.jac_fresh = false;
-                st.f0_fresh = false;
-            }
-            continue;
         }
-        complete_lane(st, x, lane_buf, wd, l, retired);
-        return false;
+        // segment boundary: apply due injections, then poll triggers
+        let mut injected = false;
+        while let Some(inj) = st.injections.get(st.next_injection) {
+            if inj.time <= st.t + 1e-12 {
+                x[inj.species.index() * wd + l] += inj.amount;
+                st.next_injection += 1;
+                injected = true;
+            } else {
+                break;
+            }
+        }
+        if injected {
+            extract_lane(x, lane_buf, wd, l);
+            st.trace.push(st.t, lane_buf);
+            let fired = st.triggers.poll(st.schedule, st.t, lane_buf);
+            store_lane(x, lane_buf, wd, l);
+            for f in fired {
+                st.trace.push_mark(st.t, f);
+            }
+            // the state jumped: cached Jacobian and f(x) are for the
+            // old state
+            st.jac_fresh = false;
+            st.f0_fresh = false;
+        }
+        if st.t >= t_end {
+            complete_lane(st, x, lane_buf, wd, l, retired);
+            return false;
+        }
     }
 }
 
@@ -398,8 +466,8 @@ fn advance_to_attempt(
 /// lock-step through one shared symbolic analysis, returning one result
 /// per lane in input order. See the module docs for the layout and the
 /// determinism contract; each lane's trace, metrics and error behavior
-/// are bit-identical to running it alone through
-/// [`Simulation`](crate::Simulation).
+/// are bit-identical to running it alone, as a batch of one lane — which
+/// is what [`Simulation`](crate::Simulation) does for an ODE run.
 ///
 /// # Panics
 ///
@@ -409,7 +477,7 @@ fn advance_to_attempt(
 pub fn run_ode_batch<'h>(
     crn: &Crn,
     lanes: &[BatchLane<'_, 'h>],
-    workspace: &mut BatchedOdeWorkspace,
+    workspace: &mut OdeWorkspace,
 ) -> Vec<Result<Trace, SimError>> {
     let wd = lanes.len();
     if wd == 0 {
@@ -433,7 +501,7 @@ pub fn run_ode_batch<'h>(
         );
     }
     workspace.prepare(reference, wd);
-    let BatchedOdeWorkspace {
+    let OdeWorkspace {
         sym,
         x,
         x_prev,
@@ -464,6 +532,7 @@ pub fn run_ode_batch<'h>(
         d2,
         d3,
         dense,
+        ..
     } = workspace;
     let sym = sym.as_ref().expect("prepared above");
     {
@@ -556,8 +625,7 @@ pub fn run_ode_batch<'h>(
                     st.factorizations += 1;
                 } else {
                     // the guard tripped for this lane: rebuild its W
-                    // unpermuted and fall back to the pivoted dense LU,
-                    // exactly as the scalar step does
+                    // unpermuted and fall back to the pivoted dense LU
                     st.metrics.dense_lu_fallbacks += 1;
                     extract_lane(jac_vals, lane_jac, wd, l);
                     if dense[l].factor_w(st.compiled, lane_jac, hd[l]) {
@@ -709,8 +777,7 @@ pub fn run_ode_batch<'h>(
                 continue;
             }
             if st.next_record <= st.t + 1e-12 {
-                // this lane's continuous extension, as the scalar
-                // stepper's prepare_dense forms it
+                // this lane's continuous extension
                 for i in 0..n {
                     let kv = std::array::from_fn(|j| k[j * nw + i * wd + l]);
                     (d2[i], d3[i]) = rodas4::dense_coefficients(kv);
@@ -756,6 +823,17 @@ pub fn run_ode_batch<'h>(
         .collect()
 }
 
+/// Integrates one cell alone: a batch of one lane.
+pub(crate) fn run_lane(
+    crn: &Crn,
+    lane: BatchLane<'_, '_>,
+    workspace: &mut OdeWorkspace,
+) -> Result<Trace, SimError> {
+    run_ode_batch(crn, std::slice::from_ref(&lane), workspace)
+        .pop()
+        .expect("one lane, one result")
+}
+
 /// Solves one stage system for every live lane: sparse lanes through the
 /// shared batched triangular sweeps (write-back masked to them), dense
 /// fallback lanes extracted, solved scalar and scattered back.
@@ -793,7 +871,8 @@ mod tests {
         OdeOptions::default().with_t_end(t_end)
     }
 
-    fn scalar_trace(
+    /// The cell run alone through the builder: a batch of one lane.
+    fn solo(
         crn: &Crn,
         compiled: &CompiledCrn,
         init: &State,
@@ -827,6 +906,9 @@ mod tests {
         );
     }
 
+    /// A one-lane run through `run_ode_batch` is the builder's run, and a
+    /// workspace that last held a wider batch of another network repeats
+    /// it bit for bit.
     #[test]
     fn width_one_is_bit_identical_to_scalar() {
         // injections + a trigger exercise every bookkeeping path
@@ -845,8 +927,8 @@ mod tests {
             }));
         let compiled = CompiledCrn::new(&crn, &SimSpec::default());
         let opts = lane_opts(12.0);
-        let scalar = scalar_trace(&crn, &compiled, &init, &schedule, &opts).unwrap();
-        let mut ws = BatchedOdeWorkspace::new();
+        let alone = solo(&crn, &compiled, &init, &schedule, &opts).unwrap();
+        let mut ws = OdeWorkspace::new();
         let lanes = [BatchLane {
             compiled: &compiled,
             init: &init,
@@ -854,14 +936,28 @@ mod tests {
             options: opts,
         }];
         let batched = run_ode_batch(&crn, &lanes, &mut ws).pop().unwrap().unwrap();
-        assert_eq!(scalar, batched);
-        // a reused workspace must stay bit-identical
+        assert_eq!(alone, batched);
+        // dirty the workspace with three lanes of another network
+        let other: Crn = "X -> 2X @slow\n2X -> X @fast".parse().unwrap();
+        let other_compiled = CompiledCrn::new(&other, &SimSpec::default());
+        let mut other_init = State::new(&other);
+        other_init.set(other.find_species("X").unwrap(), 1.0);
+        let other_lane = BatchLane {
+            compiled: &other_compiled,
+            init: &other_init,
+            schedule: &Schedule::new(),
+            options: opts,
+        };
+        let wide = [0, 1, 2].map(|_| BatchLane { ..other_lane });
+        assert!(run_ode_batch(&other, &wide, &mut ws)
+            .iter()
+            .all(Result::is_ok));
         let again = run_ode_batch(&crn, &lanes, &mut ws).pop().unwrap().unwrap();
-        assert_eq!(scalar, again);
+        assert_eq!(alone, again);
     }
 
     #[test]
-    fn wide_batch_lanes_match_their_scalar_runs_bitwise() {
+    fn wide_batch_lanes_match_their_one_lane_runs_bitwise() {
         let crn: Crn = "X -> 2X @slow\n2X -> X @fast\nX -> 0 @slow"
             .parse()
             .unwrap();
@@ -876,7 +972,7 @@ mod tests {
             .collect();
         let schedule = Schedule::new();
         let opts = lane_opts(8.0);
-        let mut ws = BatchedOdeWorkspace::new();
+        let mut ws = OdeWorkspace::new();
         let lanes: Vec<BatchLane> = compiled
             .iter()
             .map(|c| BatchLane {
@@ -888,11 +984,14 @@ mod tests {
             .collect();
         let batched = run_ode_batch(&crn, &lanes, &mut ws);
         for (c, result) in compiled.iter().zip(batched) {
-            let scalar = scalar_trace(&crn, c, &init, &schedule, &opts).unwrap();
-            assert_eq!(scalar, result.unwrap());
+            let alone = solo(&crn, c, &init, &schedule, &opts).unwrap();
+            assert_eq!(alone, result.unwrap());
         }
     }
 
+    /// Each lane of a batch reports the work counters of its one-lane
+    /// run; the batch width reads 0 for the run of one lane, as for every
+    /// scalar engine, and the lane count for a batch.
     #[test]
     fn batched_metrics_match_scalar_counters() {
         let crn: Crn = "A -> B @fast\n0 -> A @slow".parse().unwrap();
@@ -901,7 +1000,7 @@ mod tests {
         let schedule = Schedule::new();
         let scalar_sink = Cell::new(SimMetrics::default());
         let opts = lane_opts(5.0);
-        scalar_trace(
+        solo(
             &crn,
             &compiled,
             &init,
@@ -909,25 +1008,30 @@ mod tests {
             &opts.with_metrics(&scalar_sink),
         )
         .unwrap();
-        let batch_sink = Cell::new(SimMetrics::default());
-        let lanes = [BatchLane {
+        let batch_sinks = [(); 2].map(|()| Cell::new(SimMetrics::default()));
+        let lanes = batch_sinks.each_ref().map(|sink| BatchLane {
             compiled: &compiled,
             init: &init,
             schedule: &schedule,
-            options: opts.with_metrics(&batch_sink),
-        }];
-        run_ode_batch(&crn, &lanes, &mut BatchedOdeWorkspace::new())
-            .pop()
-            .unwrap()
-            .unwrap();
+            options: opts.with_metrics(sink),
+        });
+        for result in run_ode_batch(&crn, &lanes, &mut OdeWorkspace::new()) {
+            result.unwrap();
+        }
         let s = scalar_sink.get();
-        let b = batch_sink.get();
-        assert_eq!(s.ode_steps_accepted, b.ode_steps_accepted);
-        assert_eq!(s.ode_steps_rejected, b.ode_steps_rejected);
-        assert_eq!(s.lu_factorizations, b.lu_factorizations);
-        assert_eq!(s.final_time, b.final_time);
-        assert_eq!(b.batch_width, 1);
-        assert_eq!(b.lanes_retired, 0);
+        assert_eq!(s.batch_width, 0);
+        assert_eq!(s.lanes_retired, 0);
+        let mut order = Vec::new();
+        for b in batch_sinks.each_ref().map(Cell::get) {
+            assert_eq!(s.ode_steps_accepted, b.ode_steps_accepted);
+            assert_eq!(s.ode_steps_rejected, b.ode_steps_rejected);
+            assert_eq!(s.lu_factorizations, b.lu_factorizations);
+            assert_eq!(s.final_time, b.final_time);
+            assert_eq!(b.batch_width, 2);
+            order.push(b.lanes_retired);
+        }
+        order.sort_unstable();
+        assert_eq!(order, [0, 1]);
     }
 
     #[test]
@@ -967,7 +1071,7 @@ mod tests {
                 },
             })
             .collect();
-        let mut results = run_ode_batch(&crn, &lanes, &mut BatchedOdeWorkspace::new());
+        let mut results = run_ode_batch(&crn, &lanes, &mut OdeWorkspace::new());
         let r2 = results.pop().unwrap();
         let r1 = results.pop().unwrap();
         let r0 = results.pop().unwrap();
@@ -975,10 +1079,10 @@ mod tests {
             matches!(r1, Err(SimError::Interrupted { ref reason, .. }) if reason == "budget"),
             "{r1:?}"
         );
-        // survivors match their solo scalar runs exactly
+        // survivors match their one-lane runs exactly
         for (c, r) in [(&compiled[0], r0), (&compiled[2], r2)] {
-            let scalar = scalar_trace(&crn, c, &init, &schedule, &opts).unwrap();
-            assert_eq!(scalar, r.unwrap());
+            let alone = solo(&crn, c, &init, &schedule, &opts).unwrap();
+            assert_eq!(alone, r.unwrap());
         }
         // the cut lane retired first: the survivors each saw one earlier
         // retirement, and both report the batch width
@@ -988,8 +1092,8 @@ mod tests {
     }
 
     /// A lane whose stop hook fires retires `Ok` at its own time and
-    /// matches its solo scalar run with the same stop; the other lanes
-    /// run on to `t_end` unperturbed.
+    /// matches its one-lane run with the same stop; the other lanes run
+    /// on to `t_end` unperturbed.
     #[test]
     fn a_stopped_lane_retires_and_leaves_the_rest_bit_identical() {
         let crn: Crn = "X -> 2X @slow\n2X -> X @fast".parse().unwrap();
@@ -1017,11 +1121,11 @@ mod tests {
                 options: if i == 1 { stop_opts } else { opts }.with_metrics(&sinks[i]),
             })
             .collect();
-        let results = run_ode_batch(&crn, &lanes, &mut BatchedOdeWorkspace::new());
+        let results = run_ode_batch(&crn, &lanes, &mut OdeWorkspace::new());
         for (i, (c, r)) in compiled.iter().zip(results).enumerate() {
-            let solo = if i == 1 { stop_opts } else { opts };
-            let scalar = scalar_trace(&crn, c, &init, &schedule, &solo).unwrap();
-            assert_eq!(scalar, r.unwrap(), "lane {i}");
+            let alone_opts = if i == 1 { stop_opts } else { opts };
+            let alone = solo(&crn, c, &init, &schedule, &alone_opts).unwrap();
+            assert_eq!(alone, r.unwrap(), "lane {i}");
         }
         let m: Vec<SimMetrics> = sinks.iter().map(Cell::get).collect();
         assert!(m[1].final_time < m[0].final_time, "{m:?}");
@@ -1031,8 +1135,8 @@ mod tests {
         assert_eq!(order, [0, 1, 2]);
     }
 
-    /// A tripped no-pivot guard reaches the metrics sink, scalar and in a
-    /// lane. The network's first pivot `1 − h·γ·k` cancels at a first
+    /// A tripped no-pivot guard reaches the metrics sink, in a one-lane
+    /// run and in a batch. The network's first pivot `1 − h·γ·k` cancels at a first
     /// step of 0.1 (the initial step at record interval 0.1), so the
     /// pivoted dense LU takes that step; at record interval 0.05 the
     /// same pivot is 0.5 and the first step stays sparse.
@@ -1052,7 +1156,7 @@ mod tests {
             .iter()
             .zip(&scalar_sinks)
             .map(|(o, sink)| {
-                scalar_trace(&crn, &compiled, &init, &schedule, &o.with_metrics(sink)).unwrap()
+                solo(&crn, &compiled, &init, &schedule, &o.with_metrics(sink)).unwrap()
             })
             .collect();
         let scalar_counts = scalar_sinks.each_ref().map(|s| s.get().dense_lu_fallbacks);
@@ -1072,7 +1176,7 @@ mod tests {
                 options: o.with_metrics(sink),
             })
             .collect();
-        let batched = run_ode_batch(&crn, &lanes, &mut BatchedOdeWorkspace::new());
+        let batched = run_ode_batch(&crn, &lanes, &mut OdeWorkspace::new());
         for (l, (s, b)) in scalar.iter().zip(batched).enumerate() {
             assert_eq!(s, &b.unwrap(), "lane {l}");
         }
@@ -1113,25 +1217,105 @@ mod tests {
                 options: bad_span,
             },
         ];
-        let results = run_ode_batch(&crn, &lanes, &mut BatchedOdeWorkspace::new());
+        let results = run_ode_batch(&crn, &lanes, &mut OdeWorkspace::new());
         assert!(results[0].is_ok());
         assert!(matches!(
             results[1],
             Err(SimError::DimensionMismatch { .. })
         ));
         assert!(matches!(results[2], Err(SimError::BadTimeSpan { .. })));
-        let scalar = scalar_trace(&crn, &compiled, &good_init, &schedule, &opts).unwrap();
-        assert_eq!(&scalar, results[0].as_ref().unwrap());
+        let alone = solo(&crn, &compiled, &good_init, &schedule, &opts).unwrap();
+        assert_eq!(&alone, results[0].as_ref().unwrap());
+    }
+
+    /// A trigger reads the state by species index, so a lane's short
+    /// `init` must fail validation before its trigger runtime reads it:
+    /// a `DimensionMismatch` for that lane, alone or beside a good one.
+    #[test]
+    fn a_short_init_with_a_trigger_fails_cleanly_per_lane() {
+        let crn: Crn = "X -> Y @slow".parse().unwrap();
+        let x = crn.find_species("X").unwrap();
+        let compiled = CompiledCrn::new(&crn, &SimSpec::default());
+        let schedule = Schedule::new().trigger(crate::Trigger::mark(crate::Condition::Above {
+            species: crn.find_species("Y").unwrap(),
+            threshold: 0.5,
+        }));
+        let short = State::from_vec(vec![1.0]);
+        let mut good = State::new(&crn);
+        good.set(x, 1.0);
+        let lane = |init| BatchLane {
+            compiled: &compiled,
+            init,
+            schedule: &schedule,
+            options: lane_opts(2.0),
+        };
+        let mut ws = OdeWorkspace::new();
+        for lanes in [vec![lane(&short)], vec![lane(&good), lane(&short)]] {
+            let results = run_ode_batch(&crn, &lanes, &mut ws);
+            assert!(
+                matches!(
+                    results.last().unwrap(),
+                    Err(SimError::DimensionMismatch {
+                        supplied: 1,
+                        expected: 2
+                    })
+                ),
+                "{results:?}"
+            );
+            if lanes.len() == 2 {
+                let alone = solo(&crn, &compiled, &good, &schedule, &lane_opts(2.0)).unwrap();
+                assert_eq!(&alone, results[0].as_ref().unwrap());
+            }
+        }
+    }
+
+    /// An injection scheduled exactly at `t_end` lands before the lane
+    /// completes, at every width: it adds one sample at `t_end` and its
+    /// amount to the final state, which nothing integrates any further.
+    #[test]
+    fn an_injection_at_t_end_lands_at_every_width() {
+        let crn: Crn = "X -> Y @slow".parse().unwrap();
+        let x = crn.find_species("X").unwrap();
+        let compiled = CompiledCrn::new(&crn, &SimSpec::default());
+        let mut init = State::new(&crn);
+        init.set(x, 1.0);
+        let none = Schedule::new();
+        let at_end = Schedule::new().inject(2.0, x, 5.0);
+        let lane = |schedule| BatchLane {
+            compiled: &compiled,
+            init: &init,
+            schedule,
+            options: lane_opts(2.0),
+        };
+        let mut ws = OdeWorkspace::new();
+        for lanes in [vec![lane(&at_end)], vec![lane(&none), lane(&at_end)]] {
+            let mut results = run_ode_batch(&crn, &lanes, &mut ws);
+            let injected = results.pop().unwrap().unwrap();
+            let plain = solo(&crn, &compiled, &init, &none, &lane_opts(2.0)).unwrap();
+            assert_eq!(injected.len(), plain.len() + 1, "width {}", lanes.len());
+            let (xi, xp) = (
+                injected.final_state()[x.index()],
+                plain.final_state()[x.index()],
+            );
+            assert_eq!(xi, xp + 5.0, "width {}", lanes.len());
+            assert!((xi - (5.0 + (-2.0f64).exp())).abs() < 1e-5, "{xi}");
+            assert_eq!(
+                injected.times()[injected.len() - 2..],
+                [2.0, 2.0],
+                "width {}",
+                lanes.len()
+            );
+        }
     }
 
     #[test]
     fn empty_batch_returns_nothing() {
         let crn: Crn = "X -> 0 @slow".parse().unwrap();
-        assert!(run_ode_batch(&crn, &[], &mut BatchedOdeWorkspace::new()).is_empty());
+        assert!(run_ode_batch(&crn, &[], &mut OdeWorkspace::new()).is_empty());
     }
 
     #[test]
-    fn per_lane_tolerances_match_scalar_bitwise() {
+    fn per_lane_tolerances_match_one_lane_runs_bitwise() {
         // each lane keeps its own step controller and error norm
         let crn: Crn = "A + B -> C @fast\nC -> A + B @slow\nA -> 0 @slow"
             .parse()
@@ -1158,10 +1342,10 @@ mod tests {
                 options: plain,
             },
         ];
-        let results = run_ode_batch(&crn, &lanes, &mut BatchedOdeWorkspace::new());
+        let results = run_ode_batch(&crn, &lanes, &mut OdeWorkspace::new());
         for (opts, result) in [loose, plain].iter().zip(results) {
-            let scalar = scalar_trace(&crn, &compiled, &init, &schedule, opts).unwrap();
-            assert_eq!(scalar, result.unwrap());
+            let alone = solo(&crn, &compiled, &init, &schedule, opts).unwrap();
+            assert_eq!(alone, result.unwrap());
         }
     }
 }

@@ -351,6 +351,18 @@ impl CompiledCrn {
         }
     }
 
+    /// Whether `ks` holds exactly this network's own rate constants: a
+    /// batch of one lane runs the scalar kernels on the reference network,
+    /// which is that lane.
+    fn holds_rates(&self, ks: &[f64]) -> bool {
+        ks.len() == self.reactions.len()
+            && self
+                .reactions
+                .iter()
+                .zip(ks)
+                .all(|(r, &k)| r.k.to_bits() == k.to_bits())
+    }
+
     /// Multi-lane [`derivative`](Self::derivative): `x` and `dx` hold
     /// `width` cell states in species-major, lane-contiguous layout
     /// (`x[i * width + l]` = species `i` in lane `l`), `ks` holds the
@@ -361,10 +373,14 @@ impl CompiledCrn {
     /// performed in exactly the scalar order, so every lane's result is
     /// bit-identical to a scalar `derivative` call on that lane's state.
     pub(crate) fn derivative_batch(&self, ks: &[f64], x: &[f64], dx: &mut [f64], flux: &mut [f64]) {
-        // monomorphize the hot widths so the lane loops unroll and
-        // vectorize with a compile-time trip count (WDC = 0 keeps one
-        // dynamic-width body for everything else)
+        // one lane runs the scalar kernel; monomorphize the hot widths so
+        // the lane loops unroll and vectorize with a compile-time trip
+        // count (WDC = 0 keeps one dynamic-width body for everything else)
         match flux.len() {
+            1 => {
+                debug_assert!(self.holds_rates(ks));
+                self.derivative(x, dx);
+            }
             2 => self.derivative_batch_impl::<2>(ks, x, dx, flux),
             4 => self.derivative_batch_impl::<4>(ks, x, dx, flux),
             8 => self.derivative_batch_impl::<8>(ks, x, dx, flux),
@@ -444,6 +460,10 @@ impl CompiledCrn {
         partial: &mut [f64],
     ) {
         match partial.len() {
+            1 => {
+                debug_assert!(self.holds_rates(ks));
+                self.jacobian_sparse(x, vals);
+            }
             2 => self.jacobian_sparse_batch_impl::<2>(ks, x, vals, partial),
             4 => self.jacobian_sparse_batch_impl::<4>(ks, x, vals, partial),
             8 => self.jacobian_sparse_batch_impl::<8>(ks, x, vals, partial),

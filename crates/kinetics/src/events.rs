@@ -232,8 +232,9 @@ impl Schedule {
     }
 }
 
-/// Runtime state of the triggers during one simulation.
-#[derive(Debug, Clone)]
+/// Runtime state of the triggers during one simulation. The default
+/// watches no trigger.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TriggerRuntime {
     armed: Vec<bool>,
     queue_pos: Vec<usize>,

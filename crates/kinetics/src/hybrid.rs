@@ -38,9 +38,10 @@
 // numbering; iterator chains would obscure them (same policy as `ode`).
 #![allow(clippy::needless_range_loop)]
 
+use crate::batch::OdeWorkspace;
 use crate::compiled::CompiledCrn;
 use crate::metrics::{sinks_eq, MetricsSink, SimMetrics};
-use crate::ode::{OdeWorkspace, StepHook};
+use crate::ode::StepHook;
 use crate::ssa::{run_ssa, select_reaction, SsaOptions};
 use crate::stiff::{Factored, Symbolic};
 use crate::tau_implicit::find_reverse_pairs;

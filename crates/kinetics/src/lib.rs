@@ -9,7 +9,10 @@
 //!   projection, timed injections and condition triggers. This is the
 //!   workhorse behind every figure of the paper reproduction: the paper
 //!   validates its designs "through ODE simulations of the mass-action
-//!   chemical kinetics".
+//!   chemical kinetics". One driver runs it: a single run is a batch of
+//!   one lane, and [`run_ode_batch`] advances many structurally
+//!   identical cells (one network under many rate bindings) in lock-step,
+//!   each bit-identical to its one-lane run.
 //! * **Exact stochastic simulation** ([`SimMethod::Ssa`], Gillespie's
 //!   direct method with dependency-graph propensity updates) over integer
 //!   copy numbers, used to check that the constructs survive molecular
@@ -73,7 +76,7 @@ mod tau;
 mod tau_implicit;
 mod trace;
 
-pub use batch::{run_ode_batch, BatchLane, BatchedOdeWorkspace};
+pub use batch::{run_ode_batch, BatchLane, OdeWorkspace};
 pub use cache::CompiledCache;
 pub use compare::{compare_trajectories, Divergence, MappedSpecies};
 pub use compiled::CompiledCrn;
@@ -81,7 +84,7 @@ pub use error::SimError;
 pub use events::{Condition, Injection, Schedule, Trigger, TriggerAction};
 pub use hybrid::{HybridOptions, DEFAULT_DISCRETENESS_THRESHOLD};
 pub use metrics::{MetricsSink, SimMetrics};
-pub use ode::{simulate_until_quiescent, OdeOptions, OdeWorkspace, StepHook, StopHook};
+pub use ode::{simulate_until_quiescent, OdeOptions, StepHook, StopHook};
 pub use plot::{downsample, render_species, sparkline};
 pub use replicate::Replicator;
 pub use sim::{SimMethod, SimOptions, Simulation};

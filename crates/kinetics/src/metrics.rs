@@ -61,9 +61,9 @@ pub struct SimMetrics {
     /// sparse and pivoted-dense fallback factorizations both count).
     pub lu_factorizations: u64,
     /// Factorizations whose no-pivot sparse elimination tripped its
-    /// stability guard and fell back to the pivoted dense LU: in the
-    /// Rosenbrock stepper (scalar or a batched lane), the hybrid
-    /// engine's fast step and the implicit tau-leaper's Newton solve.
+    /// stability guard and fell back to the pivoted dense LU: in an ODE
+    /// lane (alone or in a batch), the hybrid engine's fast step and the
+    /// implicit tau-leaper's Newton solve.
     pub dense_lu_fallbacks: u64,
     /// Exact stochastic reaction events fired (SSA and NRM, plus the
     /// exact-step fallback of tau-leaping).
@@ -86,9 +86,9 @@ pub struct SimMetrics {
     /// RNG seed of the most recent stochastic run (`0` for deterministic
     /// runs).
     pub seed: u64,
-    /// Lane count of the batched ODE engine for the most recent run that
-    /// reported into this record (`0` for scalar runs, which every
-    /// stochastic run is).
+    /// Lane count of the ODE engine's batch for the most recent run that
+    /// reported into this record: `0` for a run of one lane, as for
+    /// every stochastic, tau-leap and hybrid run.
     pub batch_width: u64,
     /// For a cell run through a batched engine: how many sibling lanes of
     /// its batch had already retired (finished or failed) when this

@@ -1,25 +1,15 @@
-//! Deterministic mass-action ODE integration.
+//! Options, hooks and quiescence runs of the deterministic mass-action
+//! ODE engine.
 //!
-//! One method is provided: the adaptive linearly implicit Rosenbrock
-//! method RODAS4, order 4 with an embedded order-3 estimate, with the
-//! analytic mass-action Jacobian (see [`crate::stiff`]). The networks in
-//! this workspace mix rate constants spanning several orders of magnitude
-//! (`k_fast/k_slow` up to 10⁵ in the robustness sweeps), which makes them
-//! stiff: explicit steps would be stability-limited to `~1/(k_fast·X)`,
-//! while a linearly implicit method steps over the fast transients at
-//! accuracy-limited step sizes.
-//!
-//! The integrator projects the state onto the non-negative orthant after
-//! each accepted step; mass-action fluxes already treat negative
-//! concentrations as zero, so the projection is a stabilizer, not a model
-//! change. Recorded samples come from RODAS4's own order-3 continuous
-//! extension over the step that holds them, clamped the same way; a
-//! chord between step ends would fall behind the method's accuracy at
-//! its step sizes.
+//! The engine itself is the one lock-step RODAS4 driver in
+//! [`crate::batch`]: a single cell — an ODE [`crate::Simulation`], a
+//! cycle-harness run, a [`simulate_until_quiescent`] chunk — runs there
+//! as a batch of one lane, on the scalar kernels, and a rate sweep runs
+//! many lanes at once. [`OdeOptions`] configure either.
 
+use crate::batch::{run_lane, BatchLane, OdeWorkspace};
 use crate::compiled::CompiledCrn;
-use crate::events::TriggerRuntime;
-use crate::metrics::{sinks_eq, MetricsSink, SimMetrics};
+use crate::metrics::{sinks_eq, MetricsSink};
 use crate::{Schedule, SimError, SimSpec, State, Trace};
 use molseq_crn::Crn;
 use std::ops::ControlFlow;
@@ -205,7 +195,7 @@ impl<'h> OdeOptions<'h> {
     /// Installs a metrics sink (builder style). On every exit path —
     /// success or error — the integrator absorbs its work counters
     /// (accepted/rejected steps, LU factorizations, final time) into the
-    /// sink. See [`SimMetrics`].
+    /// sink. See [`SimMetrics`](crate::SimMetrics).
     #[must_use]
     pub fn with_metrics(mut self, sink: MetricsSink<'h>) -> Self {
         self.metrics = Some(sink);
@@ -224,8 +214,7 @@ impl<'h> OdeOptions<'h> {
         self.t_start
     }
 
-    // Crate-level accessors for the batched driver (`crate::batch`), which
-    // replays the exact scalar control flow from another module.
+    // Crate-level accessors for the driver (`crate::batch`).
     pub(crate) fn tolerances(&self) -> (f64, f64) {
         (self.rtol, self.atol)
     }
@@ -253,201 +242,6 @@ impl<'h> OdeOptions<'h> {
     pub(crate) fn metrics_sink(&self) -> Option<MetricsSink<'h>> {
         self.metrics
     }
-}
-
-/// Reusable integrator buffers: the Rosenbrock step scratch (including
-/// the cached Jacobian, the packed sparse LU of `W`, the stage increments
-/// and the continuous extension), the previous state, and the buffer for
-/// recorded samples. `W`'s pivoted dense fallback holds no `n×n` buffer
-/// until a stability guard first trips; the implicit tau-leaper's and the
-/// hybrid engine's `W`-solvers, kept here too, follow the same rule.
-///
-/// One workspace serves any number of [`crate::Simulation`] runs (attach
-/// it with `Simulation::workspace`); buffers are lazily (re)sized to the
-/// network of each call, and all cached numerical state is
-/// invalidated on entry, so a reused workspace produces bit-identical
-/// results to a fresh one. This
-/// removes every per-segment and per-record allocation from the hot path:
-/// multi-cycle harness runs and sweep cells allocate integrator storage
-/// once instead of once per injection segment.
-#[derive(Default)]
-pub struct OdeWorkspace {
-    rosenbrock: Option<crate::stiff::RosenbrockWork>,
-    x: Vec<f64>,
-    x_prev: Vec<f64>,
-    sample: Vec<f64>,
-    /// Newton solver buffers for the implicit tau-leaper; sized lazily by
-    /// `run_tau_implicit` so purely deterministic callers pay nothing.
-    pub(crate) newton: Option<crate::tau_implicit::NewtonWork>,
-    /// Fast-subsystem stepper buffers for the hybrid ODE/SSA engine; sized
-    /// lazily by `run_hybrid`.
-    pub(crate) hybrid: Option<crate::hybrid::HybridWork>,
-}
-
-impl OdeWorkspace {
-    /// An empty workspace; buffers are allocated on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        OdeWorkspace::default()
-    }
-
-    /// Sizes the buffers for `compiled`, loads `init` into the state
-    /// vector, and invalidates any cached Jacobian/LU state.
-    fn prepare(&mut self, compiled: &CompiledCrn, init: &[f64]) {
-        let n = compiled.species_count();
-        self.x.clear();
-        self.x.extend_from_slice(init);
-        self.x_prev.clear();
-        self.x_prev.resize(n, 0.0);
-        self.sample.clear();
-        self.sample.resize(n, 0.0);
-        // `matches` compares the Jacobian pattern, not just sizes: the
-        // workspace carries a symbolic factorization specific to that
-        // pattern.
-        match &mut self.rosenbrock {
-            Some(work) if work.matches(compiled) => work.invalidate(),
-            slot => *slot = Some(crate::stiff::RosenbrockWork::new(compiled)),
-        }
-    }
-}
-
-/// Deterministic core behind the [`crate::Simulation`] builder:
-/// validates dimensions and span,
-/// integrates segment by segment between timed injections, and flushes
-/// work counters on every exit path.
-pub(crate) fn run_ode(
-    crn: &Crn,
-    compiled: &CompiledCrn,
-    init: &State,
-    schedule: &Schedule,
-    opts: &OdeOptions,
-    workspace: &mut OdeWorkspace,
-) -> Result<Trace, SimError> {
-    if compiled.species_count() != crn.species_count() {
-        return Err(SimError::DimensionMismatch {
-            supplied: compiled.species_count(),
-            expected: crn.species_count(),
-        });
-    }
-    if init.len() != crn.species_count() {
-        return Err(SimError::DimensionMismatch {
-            supplied: init.len(),
-            expected: crn.species_count(),
-        });
-    }
-    if !opts.t_start.is_finite() || !opts.t_end.is_finite() || opts.t_end <= opts.t_start {
-        return Err(SimError::BadTimeSpan {
-            t_start: opts.t_start,
-            t_end: opts.t_end,
-        });
-    }
-
-    workspace.prepare(compiled, init.as_slice());
-    let work_before = workspace
-        .rosenbrock
-        .as_ref()
-        .map_or((0, 0), |w| (w.factorizations(), w.dense_fallbacks()));
-    let mut t = opts.t_start;
-    let mut trace = Trace::with_capacity(crn, expected_records(opts, schedule));
-    trace.push(t, &workspace.x);
-
-    let mut triggers = TriggerRuntime::new(schedule, &workspace.x);
-    let injections = schedule.sorted_injections();
-    let mut next_injection = 0usize;
-    let mut next_record = opts.t_start + opts.record_interval;
-    let mut steps_used = 0usize;
-    let mut metrics = SimMetrics::default();
-    let mut failure = None;
-
-    // Adaptive state persists across segments.
-    let mut h_adaptive = initial_step(opts);
-
-    while t < opts.t_end {
-        // The next hard stop: injection time or end of span.
-        let segment_end = injections
-            .get(next_injection)
-            .map_or(opts.t_end, |inj| inj.time.clamp(opts.t_start, opts.t_end));
-
-        if segment_end > t {
-            match integrate_segment(
-                compiled,
-                workspace,
-                &mut t,
-                segment_end,
-                opts,
-                &mut h_adaptive,
-                &mut steps_used,
-                &mut next_record,
-                &mut trace,
-                schedule,
-                &mut triggers,
-                &mut metrics,
-            ) {
-                Ok(Segment::Reached) => {}
-                Ok(Segment::Stopped) => break,
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-
-        // Apply any injections scheduled at (or before) the reached time.
-        let mut injected = false;
-        while let Some(inj) = injections.get(next_injection) {
-            if inj.time <= t + 1e-12 {
-                workspace.x[inj.species.index()] += inj.amount;
-                next_injection += 1;
-                injected = true;
-            } else {
-                break;
-            }
-        }
-        if injected {
-            trace.push(t, &workspace.x);
-            for fired in triggers.poll(schedule, t, &mut workspace.x) {
-                trace.push_mark(t, fired);
-            }
-            // the state jumped: any cached Jacobian is for the old state
-            if let Some(work) = workspace.rosenbrock.as_mut() {
-                work.invalidate();
-            }
-        }
-    }
-
-    // Flush the work counters even on failure: an interrupted or
-    // step-limited cell still reports what it cost.
-    metrics.final_time = t;
-    if let Some(work) = workspace.rosenbrock.as_ref() {
-        metrics.lu_factorizations = work.factorizations() - work_before.0;
-        metrics.dense_lu_fallbacks = work.dense_fallbacks() - work_before.1;
-    }
-    SimMetrics::flush(opts.metrics, metrics);
-
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    trace.push(t, &workspace.x);
-    Ok(trace)
-}
-
-/// Expected number of recorded samples, used to preallocate the trace:
-/// one per recording interval plus one per injection plus the endpoints.
-/// Trigger firings add a few more; the estimate is a capacity hint, not a
-/// bound, and is capped so absurd intervals cannot over-reserve. A run
-/// with a [`StopHook`] may end anywhere in its span, so its trace grows
-/// with what it records instead.
-pub(crate) fn expected_records(opts: &OdeOptions, schedule: &Schedule) -> usize {
-    if opts.stop_hook.is_some() {
-        return 0;
-    }
-    let span = opts.t_end - opts.t_start;
-    let regular = if opts.record_interval.is_finite() && opts.record_interval > 0.0 {
-        (span / opts.record_interval).ceil() as usize
-    } else {
-        0
-    };
-    (regular + schedule.injections().len() + 2).min(1 << 20)
 }
 
 /// Integrates until the system is *quiescent* — every component of the
@@ -534,15 +328,13 @@ pub fn simulate_until_quiescent(
                 chunk_schedule = chunk_schedule.inject(inj.time.max(t), inj.species, inj.amount);
             }
         }
-        let chunk_opts = (*opts).with_t_start(t).with_t_end(t_next);
-        let trace = run_ode(
-            crn,
-            &compiled,
-            &state,
-            &chunk_schedule,
-            &chunk_opts,
-            &mut workspace,
-        )?;
+        let lane = BatchLane {
+            compiled: &compiled,
+            init: &state,
+            schedule: &chunk_schedule,
+            options: (*opts).with_t_start(t).with_t_end(t_next),
+        };
+        let trace = run_lane(crn, lane, &mut workspace)?;
         state = State::from_vec(trace.final_state().to_vec());
         match &mut full_trace {
             None => full_trace = Some(trace),
@@ -564,150 +356,10 @@ pub fn simulate_until_quiescent(
     ))
 }
 
-pub(crate) fn initial_step(opts: &OdeOptions) -> f64 {
-    let span = opts.t_end - opts.t_start;
-    (opts.record_interval.min(span / 100.0)).max(span * 1e-9)
-}
-
-/// How [`integrate_segment`] ended without an error.
-enum Segment {
-    /// The segment's end was reached.
-    Reached,
-    /// The stop hook fired.
-    Stopped,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn integrate_segment(
-    compiled: &CompiledCrn,
-    workspace: &mut OdeWorkspace,
-    t: &mut f64,
-    segment_end: f64,
-    opts: &OdeOptions,
-    h_adaptive: &mut f64,
-    steps_used: &mut usize,
-    next_record: &mut f64,
-    trace: &mut Trace,
-    schedule: &Schedule,
-    triggers: &mut TriggerRuntime,
-    metrics: &mut SimMetrics,
-) -> Result<Segment, SimError> {
-    // Disjoint borrows of the workspace buffers; all were sized by
-    // `prepare`, nothing is allocated in the step loop below.
-    let OdeWorkspace {
-        rosenbrock,
-        x,
-        x_prev,
-        sample,
-        ..
-    } = workspace;
-    let x = x.as_mut_slice();
-    let work = rosenbrock.as_mut().expect("prepared above");
-
-    while *t < segment_end - 1e-15 {
-        if *steps_used >= opts.max_steps {
-            return Err(SimError::StepLimitExceeded {
-                reached: *t,
-                t_end: opts.t_end,
-                max_steps: opts.max_steps,
-            });
-        }
-
-        let h_cap = (segment_end - *t).min(opts.h_max);
-        x_prev.copy_from_slice(x);
-        let h_try = h_adaptive.min(h_cap).max(1e-14);
-        let (h_taken, accepted) = if !work.step(compiled, x, h_try) {
-            // singular W: retry with a smaller step
-            *h_adaptive = (h_try * 0.5).max(1e-14);
-            (0.0, false)
-        } else {
-            let err_ratio = work.error_ratio(x, opts.rtol, opts.atol);
-            if err_ratio <= 1.0 {
-                x.copy_from_slice(&work.y_new);
-                // the state moved: the next step needs a fresh Jacobian
-                // and f(y)
-                work.invalidate();
-                // the estimate is of order 3: 0.9·err^(−1/4) controller
-                let grow = if err_ratio > 0.0 {
-                    0.9 * err_ratio.powf(-0.25)
-                } else {
-                    5.0
-                };
-                *h_adaptive = (h_try * grow.clamp(0.2, 5.0)).min(opts.h_max);
-                (h_try, true)
-            } else {
-                let shrink = (0.9 * err_ratio.powf(-0.25)).clamp(0.1, 0.9);
-                *h_adaptive = (h_try * shrink).max(1e-14);
-                (0.0, false)
-            }
-        };
-        *steps_used += 1;
-        if accepted {
-            metrics.ode_steps_accepted += 1;
-        } else {
-            metrics.ode_steps_rejected += 1;
-        }
-        if let Some(hook) = opts.step_hook {
-            if let ControlFlow::Break(reason) = hook(*steps_used as u64, *t) {
-                return Err(SimError::Interrupted { time: *t, reason });
-            }
-        }
-        if !accepted {
-            continue;
-        }
-        let t_prev = *t;
-        *t += h_taken;
-
-        // Projection + finiteness check.
-        for (i, xi) in x.iter_mut().enumerate() {
-            if !xi.is_finite() {
-                return Err(SimError::NonFiniteState {
-                    time: *t,
-                    species: i,
-                });
-            }
-            if *xi < 0.0 {
-                *xi = 0.0;
-            }
-        }
-
-        // Recording first (samples of the step's continuous extension,
-        // strictly before `t`), then triggers (they may inject at `t`).
-        if *next_record <= *t + 1e-12 {
-            work.prepare_dense();
-        }
-        while *next_record <= *t + 1e-12 {
-            let theta = if h_taken > 0.0 {
-                ((*next_record - t_prev) / h_taken).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-            work.dense_sample(x_prev, x, theta, sample);
-            trace.push(*next_record, sample);
-            *next_record += opts.record_interval;
-        }
-        let fired_any = {
-            let fired = triggers.poll(schedule, *t, x);
-            for &f in &fired {
-                trace.push_mark(*t, f);
-                trace.push(*t, x);
-            }
-            !fired.is_empty()
-        };
-        if fired_any {
-            // queue injections may have jumped the state
-            work.invalidate();
-        }
-        if opts.stop_hook.is_some_and(|stop| stop(trace)) {
-            return Ok(Segment::Stopped);
-        }
-    }
-    Ok(Segment::Reached)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::SimMetrics;
     use molseq_crn::{Crn, RateAssignment};
 
     fn decay() -> (Crn, molseq_crn::SpeciesId) {

@@ -30,10 +30,11 @@
 //! integrator: running the same options twice produces bit-identical
 //! traces.
 
+use crate::batch::{run_lane, BatchLane, OdeWorkspace};
 use crate::compiled::CompiledCrn;
 use crate::hybrid::HybridOptions;
 use crate::metrics::MetricsSink;
-use crate::ode::{OdeOptions, OdeWorkspace, StepHook};
+use crate::ode::{OdeOptions, StepHook};
 use crate::ssa::SsaOptions;
 use crate::tau::TauLeapOptions;
 use crate::tau_implicit::TauLeapImplicitOptions;
@@ -330,13 +331,18 @@ impl<'a, 'h> Simulation<'a, 'h> {
         check_record_interval(options.record_interval())?;
 
         match (method, options) {
-            (SimMethod::Ode, SimOptions::Ode(opts)) => match workspace {
-                Some(ws) => crate::ode::run_ode(crn, compiled, init, schedule, &opts, ws),
-                None => {
-                    let mut ws = OdeWorkspace::new();
-                    crate::ode::run_ode(crn, compiled, init, schedule, &opts, &mut ws)
+            (SimMethod::Ode, SimOptions::Ode(opts)) => {
+                let lane = BatchLane {
+                    compiled,
+                    init,
+                    schedule,
+                    options: opts,
+                };
+                match workspace {
+                    Some(ws) => run_lane(crn, lane, ws),
+                    None => run_lane(crn, lane, &mut OdeWorkspace::new()),
                 }
-            },
+            }
             (SimMethod::Ssa, SimOptions::Stochastic(opts)) => {
                 crate::ssa::run_ssa(crn, compiled, init, schedule, &opts)
             }

@@ -9,8 +9,9 @@
 //! Jacobian. It is L-stable and stiffly accurate, of order 4 with an
 //! embedded order-3 error estimate, and carries its own order-3
 //! continuous extension, which the recorded samples are read from. Its
-//! tableau is typed once, in [`rodas4`], and read by the scalar stepper
-//! here, by the batched lanes and by the dense output.
+//! tableau is typed once, in [`rodas4`], and read by the ODE driver
+//! (`crate::batch`, which steps one cell or many in lock-step) and by the
+//! dense output.
 //!
 //! Three structural optimizations keep the per-step cost down on the
 //! large networks (multi-bit counters run past 100 species):
@@ -36,9 +37,9 @@
 //!   pivoted dense LU ([`Lu`], slice-based and vectorized). Its `n×n`
 //!   buffer is allocated on the first guard trip, so a run whose guard
 //!   never trips never holds one;
-//! * all scratch, including the symbolic structure, lives in
-//!   [`RosenbrockWork`] and is reused across steps, segments and whole
-//!   simulations.
+//! * all scratch, including the symbolic structure, lives in the
+//!   [`OdeWorkspace`](crate::OdeWorkspace) and is reused across steps,
+//!   segments and whole simulations.
 //!
 //! Each step takes one Jacobian, one LU, six right-hand sides and six
 //! stage solves. The Jacobian is evaluated once per accepted state: a
@@ -669,10 +670,15 @@ impl Symbolic {
         all: bool,
         w: &mut [f64],
     ) {
-        // monomorphize the hot widths so the lane loops unroll and
-        // vectorize with a compile-time trip count (WDC = 0 keeps one
-        // dynamic-width body for everything else)
+        // one lane runs the scalar kernel; monomorphize the hot widths so
+        // the lane loops unroll and vectorize with a compile-time trip
+        // count (WDC = 0 keeps one dynamic-width body for everything else)
         match hd.len() {
+            1 => {
+                if need[0] {
+                    self.assemble(jac_vals, hd[0], w);
+                }
+            }
             2 => self.assemble_batch_impl::<2>(jac_vals, hd, need, all, w),
             4 => self.assemble_batch_impl::<4>(jac_vals, hd, need, all, w),
             8 => self.assemble_batch_impl::<8>(jac_vals, hd, need, all, w),
@@ -756,6 +762,7 @@ impl Symbolic {
         all: bool,
     ) {
         match need.len() {
+            1 => ok[0] = need[0] && self.factor(a),
             2 => self.factor_batch_impl::<2>(a, need, ok, inv, m, upd, all),
             4 => self.factor_batch_impl::<4>(a, need, ok, inv, m, upd, all),
             8 => self.factor_batch_impl::<8>(a, need, ok, inv, m, upd, all),
@@ -885,6 +892,11 @@ impl Symbolic {
         all: bool,
     ) {
         match write.len() {
+            1 => {
+                if write[0] {
+                    self.solve(a, b, scratch);
+                }
+            }
             2 => self.solve_batch_impl::<2>(a, b, scratch, write, all),
             4 => self.solve_batch_impl::<4>(a, b, scratch, write, all),
             8 => self.solve_batch_impl::<8>(a, b, scratch, write, all),
@@ -963,11 +975,11 @@ impl Symbolic {
 
 /// One W-solver's factor storage: the packed no-pivot LU over a
 /// [`Symbolic`] structure, and the pivoted dense fallback [`Lu`], whose
-/// `n×n` buffer is allocated on the first guard trip. The Rosenbrock
-/// stepper, the hybrid engine's fast step and the implicit tau-leaper's
-/// Newton solve each own one; their matrices `I − h·γ·J` (RODAS4),
-/// `I − h·d·J` (the hybrid's ode23s) and
-/// `I − τ·ν·(∂a/∂x)` share the Jacobian pattern.
+/// `n×n` buffer is allocated on the first guard trip. The hybrid engine's
+/// fast step and the implicit tau-leaper's Newton solve each own one;
+/// their matrices `I − h·d·J` (the hybrid's ode23s) and
+/// `I − τ·ν·(∂a/∂x)` share the Jacobian pattern. The ODE lanes keep the
+/// same two parts per lane in one lane-contiguous block.
 pub(crate) struct Factored {
     packed: Vec<f64>,
     dense: Lu,
@@ -1036,191 +1048,6 @@ fn assemble_w(compiled: &CompiledCrn, jac_vals: &[f64], hd: f64, w: &mut [f64]) 
             w[base + col_idx[s]] = -hd * jac_vals[s];
         }
         w[base + i] += 1.0;
-    }
-}
-
-/// Reusable buffers and cached factorization state for Rosenbrock
-/// stepping. Survives across steps, segments and — via
-/// [`OdeWorkspace`](crate::OdeWorkspace) — across whole simulation calls;
-/// no per-step allocation happens once constructed. `W` lives in a
-/// [`Factored`]: a packed array of [`Symbolic::packed_len`] entries, plus
-/// the dense fallback's `n×n` buffer once a guard has tripped.
-pub(crate) struct RosenbrockWork {
-    n: usize,
-    /// Elimination structure of `W`'s fixed sparsity pattern.
-    sym: Symbolic,
-    /// Jacobian nonzeros aligned with the compiled CSR pattern.
-    jac_vals: Vec<f64>,
-    /// True when `jac_vals` was evaluated at the current state.
-    jac_fresh: bool,
-    /// The factorization of `W = I − h·γ·J`; valid for `lu_h` and the
-    /// current `jac_vals` while `lu_valid` holds.
-    lu: Factored,
-    lu_valid: bool,
-    lu_h: f64,
-    /// True when `f0` holds `f(y)` at the current state, evaluated by an
-    /// earlier (rejected) trial from it.
-    f0_fresh: bool,
-    f0: Vec<f64>,
-    /// The stage increments `K_1..K_6` of the last trial step,
-    /// stage-major, `n` each; `K_6` is its error estimate.
-    k: Vec<f64>,
-    /// The stage states `Y_i`.
-    ytmp: Vec<f64>,
-    /// The continuous extension's `d2` and `d3` of the last accepted
-    /// step, formed by [`prepare_dense`](Self::prepare_dense).
-    d2: Vec<f64>,
-    d3: Vec<f64>,
-    /// Permuted right-hand side scratch for the sparse triangular solves.
-    bperm: Vec<f64>,
-    /// Completed numeric factorizations of `W` over the workspace's
-    /// lifetime (sparse and pivoted-dense both count; a guard-tripped
-    /// sparse attempt that falls back to dense counts once).
-    factorizations: u64,
-    /// The advanced solution of the trial step.
-    pub y_new: Vec<f64>,
-}
-
-impl RosenbrockWork {
-    pub(crate) fn new(compiled: &CompiledCrn) -> Self {
-        let n = compiled.species_count();
-        let sym = Symbolic::new(compiled);
-        RosenbrockWork {
-            n,
-            jac_vals: vec![0.0; compiled.jacobian_nnz()],
-            jac_fresh: false,
-            lu: Factored::new(&sym),
-            lu_valid: false,
-            lu_h: f64::NAN,
-            sym,
-            f0_fresh: false,
-            f0: vec![0.0; n],
-            k: vec![0.0; 6 * n],
-            ytmp: vec![0.0; n],
-            d2: vec![0.0; n],
-            d3: vec![0.0; n],
-            bperm: vec![0.0; n],
-            factorizations: 0,
-            y_new: vec![0.0; n],
-        }
-    }
-
-    /// Cumulative completed numeric factorizations (monotone over the
-    /// workspace's lifetime; callers snapshot-and-subtract to attribute
-    /// them to one simulation call).
-    pub(crate) fn factorizations(&self) -> u64 {
-        self.factorizations
-    }
-
-    /// Cumulative tripped no-pivot guards, counted like
-    /// [`factorizations`](Self::factorizations).
-    pub(crate) fn dense_fallbacks(&self) -> u64 {
-        self.lu.fallbacks()
-    }
-
-    /// Whether this workspace (buffer sizes *and* symbolic elimination
-    /// structure) was built for `compiled` — the compatibility key for
-    /// workspace reuse across simulation calls.
-    pub(crate) fn matches(&self, compiled: &CompiledCrn) -> bool {
-        self.jac_vals.len() == compiled.jacobian_nnz() && self.sym.matches(compiled)
-    }
-
-    /// Forgets the cached Jacobian, factorization and `f(y)`. Call
-    /// whenever the state moves — an accepted step, an injection, a
-    /// trigger firing — or the workspace is recycled for a new
-    /// simulation: the next step then behaves exactly like the first step
-    /// of a fresh workspace. The last step's stage increments stay, so
-    /// [`prepare_dense`](Self::prepare_dense) still reads an accepted
-    /// step after it.
-    pub(crate) fn invalidate(&mut self) {
-        self.jac_fresh = false;
-        self.f0_fresh = false;
-    }
-
-    /// One RODAS4 trial step of size `h` from `y`. Fills `y_new` and the
-    /// stage increments, `K_6` among them as the error estimate; returns
-    /// `false` when the linear system is singular (caller should shrink
-    /// the step).
-    ///
-    /// The Jacobian and `f(y)` are re-evaluated unless an earlier
-    /// (rejected) trial evaluated them at `y` since the last state change;
-    /// the LU factorization is additionally reused when `h` is
-    /// bit-identical to the cached one.
-    pub(crate) fn step(&mut self, compiled: &CompiledCrn, y: &[f64], h: f64) -> bool {
-        if !self.jac_fresh {
-            compiled.jacobian_sparse(y, &mut self.jac_vals);
-            self.jac_fresh = true;
-            // any cached factorization was built from the old values
-            self.lu_valid = false;
-        }
-        let hg = h * rodas4::GAMMA;
-        if !self.lu_valid || self.lu_h != h {
-            if !self.lu.factor(&self.sym, compiled, &self.jac_vals, hg) {
-                self.lu_valid = false;
-                // retry from an exact Jacobian at the smaller step
-                self.jac_fresh = false;
-                return false;
-            }
-            self.lu_valid = true;
-            self.lu_h = h;
-            self.factorizations += 1;
-        }
-        if !self.f0_fresh {
-            compiled.derivative(y, &mut self.f0);
-            self.f0_fresh = true;
-        }
-        let RosenbrockWork {
-            sym,
-            lu,
-            f0,
-            k,
-            ytmp,
-            bperm,
-            y_new,
-            ..
-        } = self;
-        rodas4::stages(
-            y,
-            f0,
-            &[hg],
-            k,
-            ytmp,
-            y_new,
-            |x, out| compiled.derivative(x, out),
-            |b| lu.solve(sym, b, bperm),
-        );
-        true
-    }
-
-    /// Max over components of `|err| / (atol + rtol·max(|y|, |y_new|))`,
-    /// where `err` is the last trial step's error estimate `K_6`.
-    pub(crate) fn error_ratio(&self, y: &[f64], rtol: f64, atol: f64) -> f64 {
-        let mut worst = 0.0f64;
-        for (i, &e) in self.k[5 * self.n..].iter().enumerate() {
-            let scale = atol + rtol * y[i].abs().max(self.y_new[i].abs());
-            worst = worst.max(e.abs() / scale);
-        }
-        worst
-    }
-
-    /// Forms the continuous extension of the last (accepted) step. Only a
-    /// step that holds a recorded sample needs it.
-    pub(crate) fn prepare_dense(&mut self) {
-        let n = self.n;
-        for i in 0..n {
-            let (d2, d3) = rodas4::dense_coefficients(std::array::from_fn(|j| self.k[j * n + i]));
-            self.d2[i] = d2;
-            self.d3[i] = d3;
-        }
-    }
-
-    /// The continuous extension at `θ ∈ [0, 1]` of the step prepared by
-    /// [`prepare_dense`](Self::prepare_dense), from `y0` to the projected
-    /// state `y1`, into `out`.
-    pub(crate) fn dense_sample(&self, y0: &[f64], y1: &[f64], theta: f64, out: &mut [f64]) {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = rodas4::dense_value(y0[i], y1[i], theta, self.d2[i], self.d3[i]);
-        }
     }
 }
 
@@ -1691,57 +1518,71 @@ mod tests {
         }
     }
 
+    /// One fixed RODAS4 trial step of size `h` from `y`: an exact
+    /// Jacobian, the packed LU of `W` and the one stage routine, without
+    /// the driver's controller, projection or caches.
+    struct TrialStep {
+        /// The stage increments `K_1..K_6`, stage-major.
+        k: Vec<f64>,
+        /// The embedded order-3 solution `Y_6`.
+        embedded: Vec<f64>,
+        y_new: Vec<f64>,
+    }
+
+    impl TrialStep {
+        fn new(compiled: &CompiledCrn, y: &[f64], h: f64) -> Self {
+            let n = y.len();
+            let sym = Symbolic::new(compiled);
+            let mut jac = vec![0.0; compiled.jacobian_nnz()];
+            compiled.jacobian_sparse(y, &mut jac);
+            let hg = h * rodas4::GAMMA;
+            let mut lu = Factored::new(&sym);
+            assert!(lu.factor(&sym, compiled, &jac, hg), "W is nonsingular");
+            let mut f0 = vec![0.0; n];
+            compiled.derivative(y, &mut f0);
+            let mut step = TrialStep {
+                k: vec![0.0; 6 * n],
+                embedded: vec![0.0; n],
+                y_new: vec![0.0; n],
+            };
+            let mut scratch = vec![0.0; n];
+            rodas4::stages(
+                y,
+                &f0,
+                &[hg],
+                &mut step.k,
+                &mut step.embedded,
+                &mut step.y_new,
+                |x, out| compiled.derivative(x, out),
+                |b| lu.solve(&sym, b, &mut scratch),
+            );
+            step
+        }
+
+        /// The continuous extension at `θ ∈ [0, 1]` from `y0` to `y_new`.
+        fn dense_sample(&self, y0: &[f64], theta: f64) -> Vec<f64> {
+            let n = y0.len();
+            (0..n)
+                .map(|i| {
+                    let (d2, d3) =
+                        rodas4::dense_coefficients(std::array::from_fn(|j| self.k[j * n + i]));
+                    rodas4::dense_value(y0[i], self.y_new[i], theta, d2, d3)
+                })
+                .collect()
+        }
+    }
+
     #[test]
     fn rosenbrock_step_matches_decay() {
         let crn: Crn = "X -> 0 @slow".parse().unwrap();
         let compiled = CompiledCrn::new(&crn, &SimSpec::default());
-        let mut work = RosenbrockWork::new(&compiled);
         let y = State::from_vec(vec![1.0]);
-        assert!(work.step(&compiled, y.as_slice(), 0.01));
+        let step = TrialStep::new(&compiled, y.as_slice(), 0.01);
         // exp(-0.01) ≈ 0.99004983…; a 4th-order step is within ~h⁵
-        assert!((work.y_new[0] - (-0.01f64).exp()).abs() < 1e-11);
-        assert!(work.error_ratio(y.as_slice(), 1e-6, 1e-9) < 1.0);
-    }
-
-    #[test]
-    fn invalidate_forces_refresh() {
-        let crn: Crn = "2X -> Y @slow".parse().unwrap();
-        let compiled = CompiledCrn::new(&crn, &SimSpec::default());
-        let mut work = RosenbrockWork::new(&compiled);
-        let ya = [4.0, 0.0];
-        assert!(work.step(&compiled, &ya, 0.01));
-        // without invalidation the Jacobian and f(y) from `ya` would be
-        // reused; after invalidation the step must match a fresh
-        // workspace at `yb`
-        let yb = [1.0, 1.5];
-        work.invalidate();
-        assert!(work.step(&compiled, &yb, 0.02));
-        let mut fresh = RosenbrockWork::new(&compiled);
-        assert!(fresh.step(&compiled, &yb, 0.02));
-        assert_eq!(work.y_new, fresh.y_new);
-        assert_eq!(work.k, fresh.k);
-    }
-
-    /// A rejected step's retry from the same state reuses the Jacobian
-    /// and `f(y)` (and at a repeated `h` the LU), and gives the bits of a
-    /// fresh workspace.
-    #[test]
-    fn a_retry_from_the_same_state_matches_a_fresh_workspace() {
-        let crn: Crn = "X + Y -> 0 @fast\n0 -> X @slow\nX -> Y @slow"
-            .parse()
-            .unwrap();
-        let compiled = CompiledCrn::new(&crn, &SimSpec::default());
-        let y = [3.0, 2.9];
-        let mut work = RosenbrockWork::new(&compiled);
-        assert!(work.step(&compiled, &y, 0.2));
-        for h in [0.05, 0.05] {
-            assert!(work.step(&compiled, &y, h));
-            let mut fresh = RosenbrockWork::new(&compiled);
-            assert!(fresh.step(&compiled, &y, h));
-            assert_eq!(bits(&work.y_new), bits(&fresh.y_new), "h = {h}");
-            assert_eq!(bits(&work.k), bits(&fresh.k), "h = {h}");
-        }
-        assert_eq!(work.factorizations(), 2, "the repeated h reuses the LU");
+        assert!((step.y_new[0] - (-0.01f64).exp()).abs() < 1e-11);
+        // the error estimate K_6 passes the default tolerances
+        let scale = 1e-9 + 1e-6 * step.y_new[0].abs().max(1.0);
+        assert!(step.k[5].abs() / scale < 1.0);
     }
 
     // --- the tableau oracle: RODAS4's orders, dense output and stability ---
@@ -1781,13 +1622,11 @@ mod tests {
         steps: usize,
         embedded: bool,
     ) -> Vec<f64> {
-        let mut work = RosenbrockWork::new(compiled);
         let h = t_end / steps as f64;
         let mut y = init.to_vec();
         for _ in 0..steps {
-            assert!(work.step(compiled, &y, h));
-            y.copy_from_slice(if embedded { &work.ytmp } else { &work.y_new });
-            work.invalidate();
+            let step = TrialStep::new(compiled, &y, h);
+            y = if embedded { step.embedded } else { step.y_new };
         }
         y
     }
@@ -1827,21 +1666,14 @@ mod tests {
     #[test]
     fn rodas4_dense_output_converges_inside_the_step() {
         for (compiled, init) in oracle_networks() {
-            let n = init.len();
             let mut errors = Vec::new();
             for h in [0.05, 0.025, 0.0125] {
-                let mut work = RosenbrockWork::new(&compiled);
-                assert!(work.step(&compiled, &init, h));
-                work.prepare_dense();
-                let mut mid = vec![0.0; n];
-                work.dense_sample(&init, &work.y_new, 0.5, &mut mid);
+                let step = TrialStep::new(&compiled, &init, h);
+                let mid = step.dense_sample(&init, 0.5);
                 let exact = crate::ode::tests::rk4_reference(&compiled, &init, 0.5 * h, 1e-5);
                 errors.push(max_dist(&mid, &exact));
-                let mut end = vec![0.0; n];
-                work.dense_sample(&init, &work.y_new, 0.0, &mut end);
-                assert_eq!(bits(&end), bits(&init));
-                work.dense_sample(&init, &work.y_new, 1.0, &mut end);
-                assert_eq!(bits(&end), bits(&work.y_new));
+                assert_eq!(bits(&step.dense_sample(&init, 0.0)), bits(&init));
+                assert_eq!(bits(&step.dense_sample(&init, 1.0)), bits(&step.y_new));
             }
             let falls: Vec<f64> = errors.windows(2).map(|e| e[0] / e[1]).collect();
             assert!(

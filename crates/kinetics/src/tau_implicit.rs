@@ -35,9 +35,9 @@
 //! and applied through the integer stoichiometry, so conservation laws
 //! (left null vectors of `ν`) hold *exactly*, leap by leap.
 
+use crate::batch::OdeWorkspace;
 use crate::compiled::CompiledCrn;
 use crate::metrics::SimMetrics;
-use crate::ode::OdeWorkspace;
 use crate::stiff::{Factored, Symbolic};
 use crate::tau::{apply_injection, poisson, TauLeapOptions};
 use crate::{Schedule, SimError, State, Trace};

@@ -9,9 +9,8 @@
 use crate::protocol::{check_horizon, CellRow, CellSpec, Method, Program, Request, SubmitRequest};
 use molseq_crn::{Crn, RateAssignment};
 use molseq_kinetics::{
-    run_ode_batch, BatchLane, BatchedOdeWorkspace, CompiledCache, CompiledCrn, HybridOptions,
-    OdeOptions, Schedule, SimError, SimMetrics, SimSpec, Simulation, SsaOptions, State,
-    TauLeapOptions,
+    run_ode_batch, BatchLane, CompiledCache, CompiledCrn, HybridOptions, OdeOptions, OdeWorkspace,
+    Schedule, SimError, SimMetrics, SimSpec, Simulation, SsaOptions, State, TauLeapOptions,
 };
 use molseq_sweep::{
     run_cell, run_group, CancelToken, CellOutcome, CellResult, GroupJob, JobBudget, JobCtx,
@@ -932,11 +931,10 @@ fn run_plan_cell(entry: &JobEntry, index: usize) -> CellRow {
 
 /// Runs `width` consecutive cells of an ODE job as one lock-step group:
 /// one [`GroupJob`] through [`run_group`] (same per-cell seeds and outcome
-/// mapping as the scalar path), whose body advances every lane together
-/// via [`run_ode_batch`]. The batched engine is bit-identical to the
-/// scalar integrator lane by lane, so the rows this produces equal
-/// `width` [`run_plan_cell`] calls except for the
-/// `batch_width`/`lanes_retired` columns.
+/// mapping as the one-cell path), whose body advances every lane together
+/// via [`run_ode_batch`]. Each lane is bit-identical to its one-lane run,
+/// so the rows this produces equal `width` [`run_plan_cell`] calls except
+/// for the `batch_width`/`lanes_retired` columns.
 fn run_plan_group(entry: &JobEntry, base: usize, width: usize) -> Vec<CellRow> {
     let plan = &entry.plan;
     let chunk = &plan.cells[base..base + width];
@@ -966,7 +964,7 @@ fn run_plan_group(entry: &JobEntry, base: usize, width: usize) -> Vec<CellRow> {
                 }
             })
             .collect();
-        let mut workspace = BatchedOdeWorkspace::new();
+        let mut workspace = OdeWorkspace::new();
         run_ode_batch(&plan.crn, &lanes, &mut workspace)
             .into_iter()
             .zip(ctxs)

@@ -324,6 +324,51 @@ fn batched_ode_submission_matches_scalar_byte_for_byte() {
     server.join();
 }
 
+/// An injection scheduled exactly at `t_end` lands in every ODE cell
+/// whatever the batch width: a two-cell submit returns the same rows at
+/// `batch: 1` (each cell a one-lane run) and at `batch: 2` (one
+/// lock-step pair), and every final state holds the injected amount.
+#[test]
+fn an_ode_injection_at_t_end_lands_at_every_batch_width() {
+    let server = Server::start(ServerConfig::default().with_workers(1)).expect("server boots");
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    let mut submit = SubmitRequest {
+        tenant: "acme".to_owned(),
+        program: Program::Crn("X -> Y @slow".to_owned()),
+        init: vec![("X".to_owned(), 1.0)],
+        method: Method::Ode,
+        t_end: 2.0,
+        record_interval: Some(0.1),
+        seed: 7,
+        injections: vec![(2.0, "X".to_owned(), 5.0)],
+        batch: Some(1),
+        cells: [1.0, 0.5]
+            .iter()
+            .map(|&k| CellSpec {
+                label: format!("k_slow={k}"),
+                k_fast: Some(1000.0),
+                k_slow: Some(k),
+            })
+            .collect(),
+    };
+    let mut renders = Vec::new();
+    for batch in [1, 2] {
+        submit.batch = Some(batch);
+        let ack = client.submit(&submit).expect("submission is valid");
+        let rows = client.fetch_all(&ack.job_id).expect("job completes");
+        for row in &rows {
+            assert_eq!(row.status, JobStatus::Ok, "batch {batch}: {}", row.label);
+            // X decays to e^{-2k} by t = 2, then receives 5 more
+            assert!(row.final_state[0] > 5.0, "batch {batch}: {row:?}");
+        }
+        renders.push(render_without_batch_columns(&rows));
+    }
+    assert_eq!(renders[0], renders[1]);
+
+    client.shutdown().expect("shutdown round trip");
+    server.join();
+}
+
 #[test]
 fn batched_stochastic_submissions_match_scalar_byte_for_byte() {
     // an SSA or tau-leap unit runs its cells one after another through

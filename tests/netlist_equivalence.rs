@@ -6,7 +6,7 @@
 
 use molseq::crn::RateAssignment;
 use molseq::dsp::moving_average;
-use molseq::kinetics::{BatchedOdeWorkspace, CompiledCrn, SimSpec};
+use molseq::kinetics::{CompiledCrn, OdeWorkspace, SimSpec};
 use molseq::sync::{
     compile_netlist_source, drive_cycles, drive_cycles_batch, BatchCell, BinaryCounter, ClockSpec,
     CompiledSystem, CycleResources, Fsm, RunConfig, SyncRun,
@@ -160,7 +160,7 @@ fn counter_batch_of_4_is_bitwise_identical_across_origins() {
                 config: RunConfig::default(),
             })
             .collect();
-        let mut ws = BatchedOdeWorkspace::new();
+        let mut ws = OdeWorkspace::new();
         drive_cycles_batch(system, &[("pulse", &pulses)], 4, &cells, &mut ws)
             .expect("batch runs")
             .into_iter()

@@ -20,11 +20,12 @@
 
 use molseq::crn::{JitterSpec, RateAssignment, RateJitter};
 use molseq::kinetics::{CompiledCrn, OdeOptions, Schedule, SimMetrics, SimSpec, Simulation};
-use molseq::sync::{compile_netlist_source, BinaryCounter, ClockSpec, CompiledSystem, SyncRun};
+use molseq::sync::{
+    compile_netlist_source, BinaryCounter, ClockSpec, CompiledSystem, SyncRun,
+    HARNESS_ODE_TOLERANCES as HARNESS,
+};
 use std::cell::Cell;
 
-/// The harness's tolerances (`molseq_sync`'s cycle harness).
-const HARNESS: (f64, f64) = (1e-5, 1e-10);
 /// The reference's tolerances.
 const REFERENCE: (f64, f64) = (1e-9, 1e-12);
 /// Largest allowed deviation from the reference, in amplitudes.

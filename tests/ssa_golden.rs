@@ -17,19 +17,23 @@
 //! continuous extension (and the harness's absolute tolerance from 1e-8
 //! to 1e-10), a change of arithmetic on purpose that the closed-form,
 //! tableau and circuit oracles vouch for; the ODE step budget and hook
-//! cut shrank with the step count, so both still stop a run mid-span. Every ODE case runs through the scalar `Simulation` path and
-//! through `run_ode_batch` at widths 1, 2, 3 and 4.
+//! cut shrank with the step count, so both still stop a run mid-span.
+//! Every ODE case runs through the `Simulation` builder (a one-lane run
+//! of the one ODE driver) and through `run_ode_batch` at widths 1, 2, 3
+//! and 4; the hashes were recorded when the builder still ran a separate
+//! scalar stepper.
 
 use molseq::crn::{Crn, RateAssignment};
 use molseq::dsp::moving_average;
 use molseq::kinetics::{
-    run_ode_batch, BatchLane, BatchedOdeWorkspace, CompiledCrn, HybridOptions, OdeOptions,
-    Schedule, SimError, SimMetrics, SimSpec, Simulation, SsaOptions, State, TauLeapImplicitOptions,
+    run_ode_batch, BatchLane, CompiledCrn, HybridOptions, OdeOptions, OdeWorkspace, Schedule,
+    SimError, SimMetrics, SimSpec, Simulation, SsaOptions, State, TauLeapImplicitOptions,
     TauLeapOptions, Trace,
 };
 use molseq::sync::{
     compile_netlist_source, drive_cycles, drive_cycles_batch, stored_value_terms, BatchCell,
     BinaryCounter, ClockSpec, CompiledSystem, CycleResources, RunConfig, SyncRun,
+    HARNESS_ODE_TOLERANCES,
 };
 use std::cell::Cell;
 use std::ops::ControlFlow;
@@ -381,7 +385,7 @@ fn run_ode_lanes(c: &Circuit, lanes: &[Lane], width: usize) -> Runs {
         .collect();
     let hooks: Vec<_> = lanes.iter().map(|l| hook_for(l.variant)).collect();
     let mut runs = Runs::default();
-    let mut ws = BatchedOdeWorkspace::new();
+    let mut ws = OdeWorkspace::new();
     for chunk in (0..lanes.len()).collect::<Vec<_>>().chunks(width) {
         let batch: Vec<BatchLane> = chunk
             .iter()
@@ -428,11 +432,13 @@ fn check_ode(c: &Circuit, golden: [u64; 4], retired: [[u64; 4]; 3]) {
         );
         assert_eq!(runs.hashes, golden, "hashes moved; {report}");
     }
+    // a run of one lane reports no batch: the builder's runs, width 1,
+    // and the lone fourth lane of width 3
     assert!(scalar.shapes.iter().all(|&s| s == (0, 0)), "{report}");
-    assert!(w1.shapes.iter().all(|&s| s == (1, 0)), "{report}");
+    assert!(w1.shapes.iter().all(|&s| s == (0, 0)), "{report}");
     for ((runs, widths), retired) in wide
         .iter()
-        .zip([[2, 2, 2, 2], [3, 3, 3, 1], [4, 4, 4, 4]])
+        .zip([[2, 2, 2, 2], [3, 3, 3, 0], [4, 4, 4, 4]])
         .zip(retired)
     {
         let got_widths: Vec<u64> = runs.shapes.iter().map(|&(w, _)| w).collect();
@@ -637,7 +643,7 @@ fn cycle_harness_prefixes_match_their_golden_hashes() {
         &[(c.input, &c.samples)],
         c.samples.len(),
         &cells,
-        &mut BatchedOdeWorkspace::new(),
+        &mut OdeWorkspace::new(),
     )
     .expect("shared setup");
     for run in runs {
@@ -663,6 +669,7 @@ fn cycle_harness_prefixes_match_their_golden_hashes() {
 /// reads from the longer trace.
 #[test]
 fn a_stopped_harness_run_is_a_prefix_of_the_fixed_horizon_run() {
+    let (rtol, atol) = HARNESS_ODE_TOLERANCES;
     for c in [counter2(), filter2()] {
         let cycles = c.samples.len();
         let stopped = drive_with_hint(&c, 12.0);
@@ -681,7 +688,7 @@ fn a_stopped_harness_run_is_a_prefix_of_the_fixed_horizon_run() {
             OdeOptions::default()
                 .with_t_end(12.0 * (cycles + 1) as f64)
                 .with_record_interval(0.1)
-                .with_tolerances(1e-5, 1e-10),
+                .with_tolerances(rtol, atol),
         )
         .run()
         .expect("runs");
