@@ -14,7 +14,11 @@
 //! already treat negative concentrations as zero, so the projection is a
 //! stabilizer, not a model change. Recorded samples come from RODAS4's
 //! own order-3 continuous extension over the step that holds them,
-//! clamped the same way.
+//! clamped the same way. A step that would fire a trigger at its end
+//! ends at the crossing instead: the driver bisects the trigger's firing
+//! predicate over the same extension, records samples up to that point,
+//! continues from the extension's state there and fires the trigger at
+//! that time (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.6).
 //!
 //! The rate-ratio sweeps behind the paper's figures simulate one network
 //! under many rate bindings: every cell shares the CRN structure, hence
@@ -45,8 +49,9 @@
 //! runs only when some attempting lane lacks a fresh one (a lane holds
 //! one only after a rejection: an accepted step moves its state); a lane
 //! that holds one gets the same bits from the pass again, since its
-//! state has not moved. A lane that holds a recorded sample forms the
-//! continuous extension of its step on its own. Lanes that finish (at
+//! state has not moved. A lane that holds a recorded sample or a trigger
+//! firing forms the continuous extension of its step on its own, and
+//! locates the firing on it alone. Lanes that finish (at
 //! `t_end` or on their stop hook), fail, or get budget-cut *retire*:
 //! their state is zeroed (keeping the unmasked full-width arithmetic
 //! finite) and they stop contributing bookkeeping, while surviving lanes
@@ -342,6 +347,18 @@ fn expected_records(opts: &OdeOptions, schedule: &Schedule) -> usize {
     (regular + schedule.injections().len() + 2).min(1 << 20)
 }
 
+/// The largest step. It keeps the horizon out of every step but the
+/// last few: a step is clamped to the span's end only within `H_MAX` of
+/// it, so a run stopped early by its [`StopHook`](crate::StopHook) has
+/// taken the steps of a run to any longer horizon (the prefix argument
+/// of DESIGN §7).
+const H_MAX: f64 = 0.25;
+
+/// Halvings of a step's `θ ∈ [0, 1]` that place a trigger firing on its
+/// continuous extension: the firing lands within `2⁻⁴⁸·h` of its
+/// crossing, far below any tolerance the controller accepts.
+const LOCATE_BISECTIONS: u32 = 48;
+
 /// The first trial step: the sampling interval, at most 1 % of the span.
 fn initial_step(opts: &OdeOptions) -> f64 {
     let span = opts.t_end() - opts.t_start();
@@ -462,6 +479,44 @@ fn advance_to_attempt(
     }
 }
 
+/// Where on an accepted step of length `h` from `t_prev` a trigger firing
+/// belongs: the smallest `θ ∈ (0, 1]` at which some trigger's firing
+/// predicate ([`TriggerRuntime::would_fire`]) holds on the step's
+/// continuous extension, at time `t_prev + θ·h`. Each trigger that would
+/// fire on `end`, the step-end state that `θ = 1` stands for, is bisected
+/// between the step's start, where the last poll left its predicate
+/// false, and its end; the earliest wins. `extension(θ, out)` writes the
+/// extension at `θ` into `out`, and `scratch` holds the bisection's
+/// states.
+fn locate_firing(
+    triggers: &TriggerRuntime,
+    schedule: &Schedule,
+    t_prev: f64,
+    h: f64,
+    end: &[f64],
+    scratch: &mut [f64],
+    extension: impl Fn(f64, &mut [f64]),
+) -> f64 {
+    let mut first = 1.0f64;
+    for i in 0..schedule.triggers().len() {
+        if !triggers.would_fire(schedule, i, t_prev + h, end) {
+            continue;
+        }
+        let (mut lo, mut hi) = (0.0f64, 1.0f64);
+        for _ in 0..LOCATE_BISECTIONS {
+            let mid = 0.5 * (lo + hi);
+            extension(mid, scratch);
+            if triggers.would_fire(schedule, i, t_prev + mid * h, scratch) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        first = first.min(hi);
+    }
+    first
+}
+
 /// Integrates up to `lanes.len()` structurally identical cells in
 /// lock-step through one shared symbolic analysis, returning one result
 /// per lane in input order. See the module docs for the layout and the
@@ -573,7 +628,7 @@ pub fn run_ode_batch<'h>(
         x_prev.copy_from_slice(x);
         for (l, st) in states.iter().enumerate() {
             if attempting[l] {
-                let h_cap = (st.segment_end - st.t).min(st.opts.h_max());
+                let h_cap = (st.segment_end - st.t).min(H_MAX);
                 h_try[l] = st.h_adaptive.min(h_cap).max(1e-14);
             }
             step_fail[l] = false;
@@ -719,7 +774,7 @@ pub fn run_ode_batch<'h>(
                     } else {
                         5.0
                     };
-                    st.h_adaptive = (h_try[l] * grow.clamp(0.2, 5.0)).min(st.opts.h_max());
+                    st.h_adaptive = (h_try[l] * grow.clamp(0.2, 5.0)).min(H_MAX);
                     (h_try[l], true)
                 } else {
                     let shrink = (0.9 * err_ratio.powf(-0.25)).clamp(0.1, 0.9);
@@ -776,29 +831,58 @@ pub fn run_ode_batch<'h>(
                 );
                 continue;
             }
-            if st.next_record <= st.t + 1e-12 {
+            // the step-end state, as a poll there sees it
+            extract_lane(x, lane_buf, wd, l);
+            let firing = (0..st.schedule.triggers().len())
+                .any(|i| st.triggers.would_fire(st.schedule, i, st.t, lane_buf));
+            if firing || st.next_record <= st.t + 1e-12 {
                 // this lane's continuous extension
                 for i in 0..n {
                     let kv = std::array::from_fn(|j| k[j * nw + i * wd + l]);
                     (d2[i], d3[i]) = rodas4::dense_coefficients(kv);
                 }
             }
-            while st.next_record <= st.t + 1e-12 {
-                let theta = if h_taken > 0.0 {
-                    ((st.next_record - t_prev) / h_taken).clamp(0.0, 1.0)
-                } else {
-                    1.0
-                };
-                for (i, s) in sample.iter_mut().enumerate() {
-                    *s =
+            let extension = |theta: f64, out: &mut [f64]| {
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o =
                         rodas4::dense_value(x_prev[i * wd + l], x[i * wd + l], theta, d2[i], d3[i]);
                 }
+            };
+            // a firing ends the step at its crossing: samples up to there
+            // come from the whole step's extension, none after it
+            let theta_stop = if firing {
+                locate_firing(
+                    &st.triggers,
+                    st.schedule,
+                    t_prev,
+                    h_taken,
+                    lane_buf,
+                    sample,
+                    extension,
+                )
+            } else {
+                1.0
+            };
+            let t_stop = if theta_stop < 1.0 {
+                t_prev + theta_stop * h_taken
+            } else {
+                st.t
+            };
+            while st.next_record <= t_stop + 1e-12 {
+                let theta = ((st.next_record - t_prev) / h_taken).clamp(0.0, 1.0);
+                extension(theta, sample);
                 st.trace.push(st.next_record, sample);
                 st.next_record += st.opts.record_interval();
             }
-            extract_lane(x, lane_buf, wd, l);
+            if theta_stop < 1.0 {
+                extension(theta_stop, lane_buf);
+                st.t = t_stop;
+            }
             let fired = st.triggers.poll(st.schedule, st.t, lane_buf);
             store_lane(x, lane_buf, wd, l);
+            if firing {
+                st.metrics.ode_events_located += fired.len() as u64;
+            }
             for &f in &fired {
                 st.trace.push_mark(st.t, f);
                 st.trace.push(st.t, lane_buf);
@@ -1305,6 +1389,168 @@ mod tests {
                 "width {}",
                 lanes.len()
             );
+        }
+    }
+
+    /// The tolerances a located firing is checked at: the cycle harness's
+    /// `1e-3/1e-6`, its former `1e-5/1e-10`, and the defaults.
+    const FIRING_TOLERANCES: [(f64, f64); 3] = [(1e-3, 1e-6), (1e-5, 1e-10), (1e-6, 1e-9)];
+
+    /// `X -> 0` and `Y -> 0`, both at rate `k`, from `X = 1`, `Y = 0`, so
+    /// `X` falls below `1/2` at `ln 2/k`; `trigger` watches that crossing
+    /// (a `Below 0.5` condition on `X`). Runs it at every
+    /// [`FIRING_TOLERANCES`] setting for `k = 1` and `k = 1000`, alone
+    /// and as the two lanes of one batch, which must match the one-lane
+    /// runs bit for bit. Each trace reaches `check` with its `k` and
+    /// `rtol`, after its located-firing count is checked against its
+    /// marks.
+    fn decay_crossing(
+        trigger: impl Fn(&Crn, crate::Condition) -> crate::Trigger,
+        check: impl Fn(&Crn, &Trace, f64, f64),
+    ) {
+        let rates = [1.0, 1000.0];
+        let crn: Crn = "X -> 0 @fast\nY -> 0 @fast".parse().unwrap();
+        let compiled =
+            rates.map(|k| CompiledCrn::new(&crn, &SimSpec::new(RateAssignment::from_ratio(k))));
+        let x = crn.find_species("X").unwrap();
+        let mut init = State::new(&crn);
+        init.set(x, 1.0);
+        let schedule = Schedule::new().trigger(trigger(
+            &crn,
+            crate::Condition::Below {
+                species: x,
+                threshold: 0.5,
+            },
+        ));
+        for (rtol, atol) in FIRING_TOLERANCES {
+            // five decay times, sampled 20 times
+            let opts = rates.map(|k| {
+                lane_opts(5.0 / k)
+                    .with_record_interval(0.25 / k)
+                    .with_tolerances(rtol, atol)
+            });
+            let sinks = rates.map(|_| Cell::new(SimMetrics::default()));
+            let lanes: Vec<BatchLane> = compiled
+                .iter()
+                .zip(&opts)
+                .zip(&sinks)
+                .map(|((c, o), sink)| BatchLane {
+                    compiled: c,
+                    init: &init,
+                    schedule: &schedule,
+                    options: o.with_metrics(sink),
+                })
+                .collect();
+            let batched = run_ode_batch(&crn, &lanes, &mut OdeWorkspace::new());
+            for (j, result) in batched.into_iter().enumerate() {
+                let trace = result.unwrap();
+                let alone = solo(&crn, &compiled[j], &init, &schedule, &opts[j]).unwrap();
+                assert_eq!(alone, trace, "k {}, rtol {rtol:e}", rates[j]);
+                assert_eq!(
+                    sinks[j].get().ode_events_located,
+                    trace.marks().len() as u64,
+                    "k {}, rtol {rtol:e}",
+                    rates[j]
+                );
+                check(&crn, &trace, rates[j], rtol);
+            }
+        }
+    }
+
+    /// The one mark of [`decay_crossing`]'s trace, checked within `rtol`
+    /// (relative) of `ln 2/k`.
+    fn check_crossing(trace: &Trace, k: f64, rtol: f64) -> f64 {
+        let marks = trace.mark_times(0);
+        assert_eq!(marks.len(), 1, "k {k}, rtol {rtol:e}: {marks:?}");
+        let exact = std::f64::consts::LN_2 / k;
+        let error = (marks[0] - exact).abs() / exact;
+        assert!(
+            error <= rtol,
+            "k {k}, rtol {rtol:e}: fired at {} for {exact}, {error:.2e} off",
+            marks[0]
+        );
+        marks[0]
+    }
+
+    /// Ground truth for located firings: a `Below 0.5` mark on a decay
+    /// fires within `rtol` of its analytic crossing time. Fired at step
+    /// ends instead, it landed 3.7 % late at the defaults and 15–38 %
+    /// late at the looser settings.
+    #[test]
+    fn a_located_mark_fires_at_the_analytic_crossing() {
+        decay_crossing(
+            |_, condition| crate::Trigger::mark(condition),
+            |_, trace, k, rtol| {
+                check_crossing(trace, k, rtol);
+            },
+        );
+    }
+
+    /// The inject-queue variant: the firing injects one `Y`, which decays
+    /// at the same rate, so every sample after the firing follows
+    /// `e^{−k(t − ln 2/k)}` within `rtol` of that peak, and none before it
+    /// holds any `Y`.
+    #[test]
+    fn a_located_injection_lands_at_the_analytic_crossing() {
+        decay_crossing(
+            |crn, condition| {
+                crate::Trigger::inject_queue(condition, crn.find_species("Y").unwrap(), vec![1.0])
+            },
+            |crn, trace, k, rtol| {
+                let fired = check_crossing(trace, k, rtol);
+                let y = crn.find_species("Y").unwrap().index();
+                let exact_fire = std::f64::consts::LN_2 / k;
+                let mut after = 0;
+                for (i, &t) in trace.times().iter().enumerate() {
+                    let got = trace.state(i)[y];
+                    if t < fired {
+                        assert_eq!(got, 0.0, "k {k}, rtol {rtol:e}: t {t}");
+                    } else if t > fired {
+                        let want = (-k * (t - exact_fire)).exp();
+                        assert!(
+                            (got - want).abs() <= rtol,
+                            "k {k}, rtol {rtol:e}: Y({t}) = {got}, exact {want}"
+                        );
+                        after += 1;
+                    }
+                }
+                assert!(after >= 10, "k {k}: {after} samples after the firing");
+            },
+        );
+    }
+
+    /// Two crossings `0.02` apart on `X -> 0`, inside one step at each
+    /// tolerance setting: the earlier ends the step and fires there, and
+    /// the later fires on a step of its own, each within `rtol` of its
+    /// analytic time. The later trigger is listed first, so schedule
+    /// order does not decide which fires.
+    #[test]
+    fn the_earliest_crossing_in_a_step_fires_first() {
+        let crn: Crn = "X -> 0 @slow".parse().unwrap();
+        let x = crn.find_species("X").unwrap();
+        let mut init = State::new(&crn);
+        init.set(x, 1.0);
+        let compiled = CompiledCrn::new(&crn, &SimSpec::default());
+        let thresholds = [0.49, 0.5];
+        let schedule = thresholds.iter().fold(Schedule::new(), |s, &threshold| {
+            s.trigger(crate::Trigger::mark(crate::Condition::Below {
+                species: x,
+                threshold,
+            }))
+        });
+        for (rtol, atol) in FIRING_TOLERANCES {
+            let opts = lane_opts(2.0).with_tolerances(rtol, atol);
+            let trace = solo(&crn, &compiled, &init, &schedule, &opts).unwrap();
+            for (i, threshold) in thresholds.iter().enumerate() {
+                let marks = trace.mark_times(i);
+                let exact = (1.0 / threshold).ln();
+                assert_eq!(marks.len(), 1, "rtol {rtol:e}: {marks:?}");
+                assert!(
+                    (marks[0] - exact).abs() <= rtol * exact,
+                    "rtol {rtol:e}: trigger {i} fired at {} for {exact}",
+                    marks[0]
+                );
+            }
         }
     }
 

@@ -95,8 +95,10 @@ pub enum TriggerAction {
 
 /// A condition watcher with edge semantics: it fires when its condition
 /// transitions from false to true (an upward edge), then re-arms only after
-/// the condition has been false again. The simulators check triggers after
-/// every accepted step.
+/// the condition has been false again. The exact SSA checks triggers after
+/// every event. The ODE driver checks them at the end of every accepted
+/// step, and a step that would fire one ends at the crossing instead,
+/// located on the step's continuous extension.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trigger {
     /// The watched condition.
@@ -255,13 +257,28 @@ impl TriggerRuntime {
         }
     }
 
+    /// Whether trigger `i` would fire if polled at `time` on `state`: it is
+    /// armed, its condition holds and `time` is at or past its
+    /// `not_before`. This is [`TriggerRuntime::poll`]'s own predicate,
+    /// without its effects; the ODE driver bisects it over a step's
+    /// continuous extension to find where a firing belongs.
+    pub(crate) fn would_fire(
+        &self,
+        schedule: &Schedule,
+        i: usize,
+        time: f64,
+        state: &[f64],
+    ) -> bool {
+        let t = &schedule.triggers()[i];
+        self.armed[i] && time >= t.not_before && t.condition.eval(state)
+    }
+
     /// Checks all triggers against `state` at `time`; returns fired trigger
     /// indices and applies queue injections directly to `state`.
     pub(crate) fn poll(&mut self, schedule: &Schedule, time: f64, state: &mut [f64]) -> Vec<usize> {
         let mut fired = Vec::new();
         for (i, t) in schedule.triggers().iter().enumerate() {
-            let now = t.condition.eval(state);
-            if now && self.armed[i] && time >= t.not_before {
+            if self.would_fire(schedule, i, time, state) {
                 self.armed[i] = false;
                 fired.push(i);
                 if let TriggerAction::InjectQueue { species, amounts } = &t.action {
@@ -273,7 +290,7 @@ impl TriggerRuntime {
             } else if !self.armed[i] {
                 let rearmed = match &t.rearm {
                     Some(cond) => cond.eval(state),
-                    None => !now,
+                    None => !t.condition.eval(state),
                 };
                 if rearmed {
                     self.armed[i] = true;
@@ -403,6 +420,36 @@ mod tests {
         rt.poll(&schedule, 2.0, &mut state);
         state[0] = 2.0;
         assert_eq!(rt.poll(&schedule, 6.0, &mut state), vec![0]);
+    }
+
+    /// `would_fire` is `poll`'s predicate without its effects: it reads
+    /// the arming, the condition and `not_before`, and neither injects
+    /// nor disarms.
+    #[test]
+    fn would_fire_is_the_poll_predicate() {
+        let (a, b) = ids();
+        let schedule = Schedule::new().trigger(
+            Trigger::inject_queue(
+                Condition::Above {
+                    species: a,
+                    threshold: 1.0,
+                },
+                b,
+                vec![5.0],
+            )
+            .with_not_before(1.0),
+        );
+        let mut state = [0.0, 0.0];
+        let mut rt = TriggerRuntime::new(&schedule, &state);
+        assert!(!rt.would_fire(&schedule, 0, 2.0, &state));
+        state[0] = 2.0;
+        assert!(!rt.would_fire(&schedule, 0, 0.5, &state));
+        assert!(rt.would_fire(&schedule, 0, 1.0, &state));
+        assert!(rt.would_fire(&schedule, 0, 1.0, &state));
+        assert_eq!(rt.poll(&schedule, 1.0, &mut state), vec![0]);
+        assert_eq!(state, [2.0, 5.0]);
+        // fired: disarmed until the condition has been false again
+        assert!(!rt.would_fire(&schedule, 0, 2.0, &state));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Every integrator in this crate (ODE, SSA, tau-leaping, hybrid) can
 //! report what it actually did — steps accepted and rejected, LU
-//! refactorizations and dense fallbacks, stochastic events fired, leaps
-//! taken — into a caller-supplied
+//! refactorizations and dense fallbacks, located trigger firings,
+//! stochastic events fired, leaps taken — into a caller-supplied
 //! [`SimMetrics`] cell. The sweep engine threads one sink per cell, so a
 //! parameter sweep records not just *what* each cell computed but *how
 //! much work* it cost, and `repro --summary DIR` persists the counters
@@ -65,6 +65,10 @@ pub struct SimMetrics {
     /// lane (alone or in a batch), the hybrid engine's fast step and the
     /// implicit tau-leaper's Newton solve.
     pub dense_lu_fallbacks: u64,
+    /// Trigger firings the ODE driver placed at their crossing on a
+    /// step's continuous extension, ending that step there. Firings at a
+    /// timed injection, and every stochastic engine's, are not counted.
+    pub ode_events_located: u64,
     /// Exact stochastic reaction events fired (SSA and NRM, plus the
     /// exact-step fallback of tau-leaping).
     pub ssa_events: u64,
@@ -116,6 +120,7 @@ impl SimMetrics {
         self.ode_steps_rejected += other.ode_steps_rejected;
         self.lu_factorizations += other.lu_factorizations;
         self.dense_lu_fallbacks += other.dense_lu_fallbacks;
+        self.ode_events_located += other.ode_events_located;
         self.ssa_events += other.ssa_events;
         self.tau_leaps += other.tau_leaps;
         self.tau_leaps_implicit += other.tau_leaps_implicit;
@@ -167,6 +172,7 @@ mod tests {
             ode_steps_rejected: 1,
             lu_factorizations: 5,
             dense_lu_fallbacks: 1,
+            ode_events_located: 3,
             ssa_events: 0,
             tau_leaps: 0,
             tau_leaps_implicit: 2,
@@ -183,6 +189,7 @@ mod tests {
         total.absorb(&SimMetrics {
             ode_steps_accepted: 2,
             dense_lu_fallbacks: 2,
+            ode_events_located: 4,
             ssa_events: 30,
             tau_leaps_implicit: 3,
             newton_iterations: 9,
@@ -198,6 +205,7 @@ mod tests {
         assert_eq!(total.ode_steps_accepted, 12);
         assert_eq!(total.ode_steps_rejected, 1);
         assert_eq!(total.dense_lu_fallbacks, 3);
+        assert_eq!(total.ode_events_located, 7);
         assert_eq!(total.ssa_events, 30);
         assert_eq!(total.tau_leaps_implicit, 5);
         assert_eq!(total.newton_iterations, 15);

@@ -32,11 +32,11 @@ pub type StepHook<'h> = &'h dyn Fn(u64, f64) -> ControlFlow<String>;
 /// the stop time, and a batched lane retires. Unlike a [`StepHook`]
 /// break it is not an error.
 ///
-/// The predicate reads the recorded samples, not the step-end state a
-/// [`crate::Trigger`] sees, so a stop decided on samples leaves every
-/// sample before it where a run to `t_end` would have put it. The cycle
-/// harness uses it to end a run when the last requested clock plateau
-/// closes. The ODE engines and the exact SSA poll it; the tau-leapers
+/// The predicate reads the recorded samples, not the state a
+/// [`crate::Trigger`] sees where it fires, so a stop decided on samples
+/// leaves every sample before it where a run to `t_end` would have put
+/// it. The cycle harness uses it to end a run when the last requested
+/// clock plateau closes. The ODE engines and the exact SSA poll it; the tau-leapers
 /// and the hybrid engine do not.
 pub type StopHook<'h> = &'h dyn Fn(&Trace) -> bool;
 
@@ -60,7 +60,6 @@ pub struct OdeOptions<'h> {
     t_start: f64,
     t_end: f64,
     record_interval: f64,
-    h_max: f64,
     max_steps: usize,
     step_hook: Option<StepHook<'h>>,
     stop_hook: Option<StopHook<'h>>,
@@ -75,7 +74,6 @@ impl std::fmt::Debug for OdeOptions<'_> {
             .field("t_start", &self.t_start)
             .field("t_end", &self.t_end)
             .field("record_interval", &self.record_interval)
-            .field("h_max", &self.h_max)
             .field("max_steps", &self.max_steps)
             .field("step_hook", &self.step_hook.map(|_| "<hook>"))
             .field("stop_hook", &self.stop_hook.map(|_| "<stop>"))
@@ -91,7 +89,6 @@ impl PartialEq for OdeOptions<'_> {
             && self.t_start == other.t_start
             && self.t_end == other.t_end
             && self.record_interval == other.record_interval
-            && self.h_max == other.h_max
             && self.max_steps == other.max_steps
             && hooks_eq(self.step_hook, other.step_hook)
             && hooks_eq(self.stop_hook, other.stop_hook)
@@ -118,7 +115,6 @@ impl Default for OdeOptions<'_> {
             t_start: 0.0,
             t_end: 10.0,
             record_interval: 0.1,
-            h_max: 0.25,
             max_steps: 20_000_000,
             step_hook: None,
             stop_hook: None,
@@ -162,16 +158,6 @@ impl<'h> OdeOptions<'h> {
     #[must_use]
     pub fn with_max_steps(mut self, n: usize) -> Self {
         self.max_steps = n;
-        self
-    }
-
-    /// Sets the maximum step size (builder style). Recording does not
-    /// limit the step (samples come from the step's continuous
-    /// extension), but triggers are only polled at step ends, so `h_max`
-    /// bounds event-detection latency.
-    #[must_use]
-    pub fn with_h_max(mut self, h: f64) -> Self {
-        self.h_max = h;
         self
     }
 
@@ -221,10 +207,6 @@ impl<'h> OdeOptions<'h> {
 
     pub(crate) fn record_interval(&self) -> f64 {
         self.record_interval
-    }
-
-    pub(crate) fn h_max(&self) -> f64 {
-        self.h_max
     }
 
     pub(crate) fn max_steps(&self) -> usize {
@@ -666,8 +648,8 @@ pub(crate) mod tests {
         .unwrap();
         let marks = trace.mark_times(0);
         assert_eq!(marks.len(), 1);
-        // detection granularity is one accepted step (≤ record interval)
-        assert!(marks[0] >= 0.9 && marks[0] <= 1.2, "{}", marks[0]);
+        // X = t crosses 1 at t = 1, where the driver locates the firing
+        assert!((marks[0] - 1.0).abs() <= 1e-6, "{}", marks[0]);
     }
 
     #[test]
