@@ -173,30 +173,17 @@ pub fn sync_job_error(e: SyncError) -> JobError {
 }
 
 /// Records every field of a simulator's [`SimMetrics`] as per-cell sweep
-/// metrics, so every experiment's summary carries the same columns
-/// (irrelevant counters are simply zero — an ODE cell reports
-/// `ssa_events = 0`). Call it right after the simulation, *before* acting
-/// on its result, so interrupted and failed cells still report the work
-/// they did. The `seed` column is lossy above 2^53 (metrics are `f64`);
-/// replicate labels carry the exact seed.
+/// metrics, as [`SimMetrics::columns`] names and orders them, so every
+/// experiment's summary carries the same columns (irrelevant counters are
+/// simply zero — an ODE cell reports `ssa_events = 0`). Call it right
+/// after the simulation, *before* acting on its result, so interrupted
+/// and failed cells still report the work they did. The `seed` column is
+/// lossy above 2^53 (metrics are `f64`); replicate labels carry the exact
+/// seed.
 pub fn record_sim_metrics(job: &JobCtx, m: SimMetrics) {
-    job.record_metric("ode_steps_accepted", m.ode_steps_accepted as f64);
-    job.record_metric("ode_steps_rejected", m.ode_steps_rejected as f64);
-    job.record_metric("lu_factorizations", m.lu_factorizations as f64);
-    job.record_metric("dense_lu_fallbacks", m.dense_lu_fallbacks as f64);
-    job.record_metric("ode_events_located", m.ode_events_located as f64);
-    job.record_metric("ssa_events", m.ssa_events as f64);
-    job.record_metric("tau_leaps", m.tau_leaps as f64);
-    job.record_metric("tau_leaps_implicit", m.tau_leaps_implicit as f64);
-    job.record_metric("newton_iterations", m.newton_iterations as f64);
-    job.record_metric("leap_switchovers", m.leap_switchovers as f64);
-    job.record_metric("hybrid_slow_events", m.hybrid_slow_events as f64);
-    job.record_metric("hybrid_fast_steps", m.hybrid_fast_steps as f64);
-    job.record_metric("hybrid_repartitions", m.hybrid_repartitions as f64);
-    job.record_metric("final_time", m.final_time);
-    job.record_metric("seed", m.seed as f64);
-    job.record_metric("batch_width", m.batch_width as f64);
-    job.record_metric("lanes_retired", m.lanes_retired as f64);
+    for (name, value) in m.columns() {
+        job.record_metric(name, value);
+    }
 }
 
 /// One cell of a batched filter grid: label, rate binding, and the

@@ -9,7 +9,8 @@
 //! (`k_fast/k_slow` up to 10⁵ in the robustness sweeps), which makes them
 //! stiff: explicit steps would be stability-limited to `~1/(k_fast·X)`,
 //! while a linearly implicit method steps over the fast transients at
-//! accuracy-limited step sizes. Each lane's state is projected onto the
+//! accuracy-limited step sizes, chosen per lane by a predictive
+//! (Gustafsson) step controller. Each lane's state is projected onto the
 //! non-negative orthant after every accepted step; mass-action fluxes
 //! already treat negative concentrations as zero, so the projection is a
 //! stabilizer, not a model change. Recorded samples come from RODAS4's
@@ -41,11 +42,11 @@
 //! **Determinism contract.** Every lane reproduces the one-lane run of
 //! its cell *bit for bit*, at any batch width: lanes share index
 //! structure, never floating-point values. Each lane keeps its own step
-//! controller (`h`), Jacobian and `f(x)` freshness flags, cached-LU key
-//! and metrics; everywhere the scalar kernels have a data-dependent skip
-//! (zero flux, zero Jacobian partial, zero multiplier, cached
-//! factorization), the lane kernels use a per-lane select of the same
-//! condition, preserving even `-0.0` signs. The full-width `f(x)` pass
+//! controller (`h` and its error history), Jacobian and `f(x)` freshness
+//! flags, cached-LU key and metrics; everywhere the scalar kernels have a
+//! data-dependent skip (zero flux, zero Jacobian partial, zero multiplier,
+//! cached factorization), the lane kernels use a per-lane select of the
+//! same condition, preserving even `-0.0` signs. The full-width `f(x)` pass
 //! runs only when some attempting lane lacks a fresh one (a lane holds
 //! one only after a rejection: an accepted step moves its state); a lane
 //! that holds one gets the same bits from the pass again, since its
@@ -250,7 +251,7 @@ struct LaneState<'a, 'h> {
     metrics: SimMetrics,
     t: f64,
     segment_end: f64,
-    h_adaptive: f64,
+    control: StepControl,
     next_record: f64,
     steps_used: usize,
     /// `jac_vals` was evaluated at the current state.
@@ -313,7 +314,7 @@ impl<'a, 'h> LaneState<'a, 'h> {
             metrics: SimMetrics::default(),
             t: opts.t_start(),
             segment_end: f64::NAN,
-            h_adaptive: initial_step(&opts),
+            control: StepControl::new(initial_step(&opts)),
             next_record: opts.t_start() + opts.record_interval(),
             steps_used: 0,
             jac_fresh: false,
@@ -363,6 +364,70 @@ const LOCATE_BISECTIONS: u32 = 48;
 fn initial_step(opts: &OdeOptions) -> f64 {
     let span = opts.t_end() - opts.t_start();
     (opts.record_interval().min(span / 100.0)).max(span * 1e-9)
+}
+
+/// One lane's step-size controller: the next trial step and the history
+/// of accepted steps that the predictive rule reads.
+///
+/// A rejected trial shrinks the step by `clamp(0.9·err^(−1/4), 0.1, 0.9)`,
+/// and a singular `W` halves it. An accepted trial grows it by
+/// `clamp(min(0.9·err^(−1/4), 0.9·(h/h_acc)·err_acc^(1/4)·err^(−1/2)),
+/// 0.2, 5)`, at most to [`H_MAX`]: the elementary rule with the exponent
+/// of an order-3 estimate, bounded by Gustafsson's predictive factor,
+/// which also reads the previous accepted step `h_acc` and its error
+/// `err_acc`, floored at `1e-2` (Gustafsson, ACM TOMS 20, 1994; Hairer &
+/// Wanner, *Solving ODEs II*, §IV.8, as Hairer's RODAS code applies it).
+/// A lane's first accept has no history and takes the elementary rule
+/// alone, and the first accept after a rejection never grows the step.
+/// Where the error keeps rising from step to step, the predictive factor
+/// shrinks the step before the next trial fails, which the elementary
+/// rule, memoryless, does only after the failure.
+struct StepControl {
+    /// The next trial step, before the segment's and [`H_MAX`]'s caps.
+    h: f64,
+    /// The last accepted step and its error, floored at `1e-2`; `None`
+    /// until the lane's first accept.
+    last: Option<(f64, f64)>,
+    /// The last trial was rejected.
+    rejected: bool,
+}
+
+impl StepControl {
+    fn new(h: f64) -> Self {
+        StepControl {
+            h,
+            last: None,
+            rejected: false,
+        }
+    }
+
+    /// A trial of `h` accepted at error `err ≤ 1`.
+    fn accept(&mut self, h: f64, err: f64) {
+        // +∞ at err = 0, which the clamp takes to 5
+        let mut grow = 0.9 * err.powf(-0.25);
+        if let Some((h_acc, err_acc)) = self.last {
+            grow = grow.min(0.9 * (h / h_acc) * err_acc.powf(0.25) * err.powf(-0.5));
+        }
+        let mut h_new = h * grow.clamp(0.2, 5.0);
+        if self.rejected {
+            h_new = h_new.min(h);
+        }
+        self.h = h_new.min(H_MAX);
+        self.last = Some((h, err.max(1e-2)));
+        self.rejected = false;
+    }
+
+    /// A trial of `h` rejected at error `err > 1`.
+    fn reject(&mut self, h: f64, err: f64) {
+        self.h = (h * (0.9 * err.powf(-0.25)).clamp(0.1, 0.9)).max(1e-14);
+        self.rejected = true;
+    }
+
+    /// A trial of `h` whose `W` was singular: retry at half the step.
+    fn fail(&mut self, h: f64) {
+        self.h = (h * 0.5).max(1e-14);
+        self.rejected = true;
+    }
 }
 
 /// Finishes a lane: flushes its metrics (every exit path reports its
@@ -629,7 +694,7 @@ pub fn run_ode_batch<'h>(
         for (l, st) in states.iter().enumerate() {
             if attempting[l] {
                 let h_cap = (st.segment_end - st.t).min(H_MAX);
-                h_try[l] = st.h_adaptive.min(h_cap).max(1e-14);
+                h_try[l] = st.control.h.min(h_cap).max(1e-14);
             }
             step_fail[l] = false;
         }
@@ -752,7 +817,7 @@ pub fn run_ode_batch<'h>(
                 continue;
             }
             let (h_taken, accepted) = if step_fail[l] {
-                st.h_adaptive = (h_try[l] * 0.5).max(1e-14);
+                st.control.fail(h_try[l]);
                 (0.0, false)
             } else {
                 let mut err_ratio = 0.0f64;
@@ -769,16 +834,10 @@ pub fn run_ode_batch<'h>(
                     }
                     st.jac_fresh = false;
                     st.f0_fresh = false;
-                    let grow = if err_ratio > 0.0 {
-                        0.9 * err_ratio.powf(-0.25)
-                    } else {
-                        5.0
-                    };
-                    st.h_adaptive = (h_try[l] * grow.clamp(0.2, 5.0)).min(H_MAX);
+                    st.control.accept(h_try[l], err_ratio);
                     (h_try[l], true)
                 } else {
-                    let shrink = (0.9 * err_ratio.powf(-0.25)).clamp(0.1, 0.9);
-                    st.h_adaptive = (h_try[l] * shrink).max(1e-14);
+                    st.control.reject(h_try[l], err_ratio);
                     (0.0, false)
                 }
             };
@@ -1552,6 +1611,132 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The step the elementary rule proposes after accepting `h` at
+    /// `err`: `h·clamp(0.9·err^(−1/4), 0.2, 5)`, at most `H_MAX`.
+    fn elementary(h: f64, err: f64) -> f64 {
+        let grow = if err > 0.0 {
+            0.9 * err.powf(-0.25)
+        } else {
+            5.0
+        };
+        (h * grow.clamp(0.2, 5.0)).min(H_MAX)
+    }
+
+    /// A lane's first accept has no history: it takes the elementary rule
+    /// bit for bit, whatever trial step the lane started from.
+    #[test]
+    fn the_first_accept_is_the_elementary_rule() {
+        for h in [1e-6, 3.7e-3, 0.04, 0.2, H_MAX] {
+            for err in [0.0, 1e-300, 1e-9, 0.013, 0.37, 0.999, 1.0] {
+                let mut control = StepControl::new(0.5);
+                control.accept(h, err);
+                assert_eq!(
+                    control.h.to_bits(),
+                    elementary(h, err).to_bits(),
+                    "h {h}, err {err}"
+                );
+            }
+        }
+    }
+
+    /// Where the error rises from accept to accept at one step size, the
+    /// predictive factor `0.9·(h/h_acc)·err_acc^(1/4)·err^(−1/2)` is the
+    /// smaller, so the rule proposes strictly less than the elementary
+    /// one, and exactly `h` times that factor.
+    #[test]
+    fn a_rising_error_proposes_less_than_the_elementary_rule() {
+        let h = 1e-3;
+        let mut control = StepControl::new(h);
+        let mut previous: Option<f64> = None;
+        for err in [0.005, 0.05, 0.2, 0.6, 0.95] {
+            control.accept(h, err);
+            if let Some(err_prev) = previous {
+                let err_acc = err_prev.max(1e-2);
+                let predictive = 0.9 * err_acc.powf(0.25) * err.powf(-0.5);
+                assert!(control.h < elementary(h, err), "err {err}: {}", control.h);
+                assert_eq!(control.h, h * predictive.clamp(0.2, 5.0), "err {err}");
+            }
+            previous = Some(err);
+        }
+    }
+
+    /// After a rejection, or a singular `W`, the next accept keeps the
+    /// step it accepted even at a tiny error; the accept after that grows
+    /// it again.
+    #[test]
+    fn the_first_accept_after_a_rejection_never_grows_the_step() {
+        for failed in [
+            (|c: &mut StepControl| c.reject(0.02, 3.0)) as fn(&mut StepControl),
+            |c: &mut StepControl| c.fail(0.02),
+        ] {
+            let mut control = StepControl::new(0.01);
+            control.accept(0.01, 0.3);
+            failed(&mut control);
+            let retry = control.h;
+            assert!(retry < 0.02, "{retry}");
+            control.accept(retry, 1e-6);
+            assert_eq!(control.h, retry);
+            control.accept(retry, 1e-6);
+            assert!(control.h > retry, "{} after {retry}", control.h);
+        }
+    }
+
+    /// A zero error grows the step five-fold, first accept or not, and
+    /// never past `H_MAX`.
+    #[test]
+    fn a_zero_error_grows_five_fold_up_to_h_max() {
+        let mut control = StepControl::new(0.01);
+        control.accept(0.01, 0.0);
+        assert_eq!(control.h, 0.05);
+        control.accept(0.04, 0.0);
+        assert_eq!(control.h, 0.2);
+        control.accept(0.1, 0.0);
+        assert_eq!(control.h, H_MAX);
+    }
+
+    /// `X -> 0` at `k = 1` beside `k = 1000` at the cycle harness's
+    /// tolerances: the two lanes accept and reject different steps, so
+    /// their step histories diverge, and each still reproduces its
+    /// one-lane run bit for bit, work counters included.
+    #[test]
+    fn lanes_with_diverging_step_histories_match_their_one_lane_runs_bitwise() {
+        let crn: Crn = "X -> 0 @fast".parse().unwrap();
+        let mut init = State::new(&crn);
+        init.set(crn.find_species("X").unwrap(), 1.0);
+        let compiled = [1.0, 1000.0]
+            .map(|k| CompiledCrn::new(&crn, &SimSpec::new(RateAssignment::from_ratio(k))));
+        let schedule = Schedule::new();
+        let opts = lane_opts(5.0)
+            .with_record_interval(0.05)
+            .with_tolerances(1e-3, 1e-6);
+        let sinks = [(); 2].map(|()| Cell::new(SimMetrics::default()));
+        let lanes: Vec<BatchLane> = compiled
+            .iter()
+            .zip(&sinks)
+            .map(|(c, sink)| BatchLane {
+                compiled: c,
+                init: &init,
+                schedule: &schedule,
+                options: opts.with_metrics(sink),
+            })
+            .collect();
+        let batched = run_ode_batch(&crn, &lanes, &mut OdeWorkspace::new());
+        let mut steps = Vec::new();
+        for ((c, result), sink) in compiled.iter().zip(batched).zip(&sinks) {
+            let alone_sink = Cell::new(SimMetrics::default());
+            let alone = solo(&crn, c, &init, &schedule, &opts.with_metrics(&alone_sink)).unwrap();
+            assert_eq!(alone, result.unwrap());
+            let (m, a) = (sink.get(), alone_sink.get());
+            assert_eq!(
+                (m.ode_steps_accepted, m.ode_steps_rejected),
+                (a.ode_steps_accepted, a.ode_steps_rejected)
+            );
+            steps.push((m.ode_steps_accepted, m.ode_steps_rejected));
+        }
+        assert_ne!(steps[0], steps[1], "{steps:?}");
+        assert!(steps.iter().any(|&(_, rejected)| rejected > 0), "{steps:?}");
     }
 
     #[test]

@@ -139,6 +139,35 @@ impl SimMetrics {
         }
     }
 
+    /// Every field as a named per-cell metric column, in one fixed order:
+    /// the ODE counters, the stochastic ones, the hybrid ones, then
+    /// `final_time`, `seed`, `batch_width` and `lanes_retired`. Sweep
+    /// summaries and served rows record exactly these columns, so a field
+    /// added here reaches both. Counters convert to `f64`, which is lossy
+    /// above 2^53.
+    #[must_use]
+    pub fn columns(&self) -> [(&'static str, f64); 17] {
+        [
+            ("ode_steps_accepted", self.ode_steps_accepted as f64),
+            ("ode_steps_rejected", self.ode_steps_rejected as f64),
+            ("lu_factorizations", self.lu_factorizations as f64),
+            ("dense_lu_fallbacks", self.dense_lu_fallbacks as f64),
+            ("ode_events_located", self.ode_events_located as f64),
+            ("ssa_events", self.ssa_events as f64),
+            ("tau_leaps", self.tau_leaps as f64),
+            ("tau_leaps_implicit", self.tau_leaps_implicit as f64),
+            ("newton_iterations", self.newton_iterations as f64),
+            ("leap_switchovers", self.leap_switchovers as f64),
+            ("hybrid_slow_events", self.hybrid_slow_events as f64),
+            ("hybrid_fast_steps", self.hybrid_fast_steps as f64),
+            ("hybrid_repartitions", self.hybrid_repartitions as f64),
+            ("final_time", self.final_time),
+            ("seed", self.seed as f64),
+            ("batch_width", self.batch_width as f64),
+            ("lanes_retired", self.lanes_retired as f64),
+        ]
+    }
+
     /// Absorbs `update` into `sink` if one is installed. Integrators call
     /// this once per exit path (including error returns, so interrupted
     /// cells still report the work they did).
@@ -221,6 +250,52 @@ mod tests {
         // a scalar follow-up (width 0) keeps the batched width
         total.absorb(&SimMetrics::default());
         assert_eq!(total.batch_width, 8);
+    }
+
+    /// Every field is one column, named as the field: each field gets a
+    /// distinct value, and each name and each value appears exactly once,
+    /// paired as in the record's `Debug` form, which lists every field.
+    #[test]
+    fn columns_name_every_field_once() {
+        let m = SimMetrics {
+            ode_steps_accepted: 1,
+            ode_steps_rejected: 2,
+            lu_factorizations: 3,
+            dense_lu_fallbacks: 4,
+            ode_events_located: 5,
+            ssa_events: 6,
+            tau_leaps: 7,
+            tau_leaps_implicit: 8,
+            newton_iterations: 9,
+            leap_switchovers: 10,
+            final_time: 11.5,
+            seed: 12,
+            batch_width: 13,
+            lanes_retired: 14,
+            hybrid_slow_events: 15,
+            hybrid_fast_steps: 16,
+            hybrid_repartitions: 17,
+        };
+        let debug = format!("{m:?}");
+        let fields: Vec<(&str, &str)> = debug
+            .trim_start_matches("SimMetrics { ")
+            .trim_end_matches(" }")
+            .split(", ")
+            .map(|field| field.split_once(": ").expect("name: value"))
+            .collect();
+        let columns = m.columns();
+        assert_eq!(columns.len(), fields.len(), "{debug}");
+        for (name, value) in columns {
+            let named: Vec<_> = columns.iter().filter(|c| c.0 == name).collect();
+            let valued: Vec<_> = columns.iter().filter(|c| c.1 == value).collect();
+            assert_eq!((named.len(), valued.len()), (1, 1), "{name} = {value}");
+            let field = fields.iter().find(|f| f.0 == name);
+            assert_eq!(
+                field.map(|f| f.1),
+                Some(value.to_string().as_str()),
+                "{name}"
+            );
+        }
     }
 
     #[test]

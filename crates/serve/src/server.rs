@@ -1094,27 +1094,13 @@ fn map_sim_error(e: SimError) -> JobError {
     }
 }
 
-/// Records the simulator counters under the same metric names the bench
-/// experiments use, so server rows aggregate through the identical
-/// summary/trend pipeline.
+/// Records the simulator counters as [`SimMetrics::columns`], the names
+/// and order the bench experiments record, so server rows aggregate
+/// through the identical summary/trend pipeline.
 fn record_metrics(ctx: &JobCtx, m: SimMetrics) {
-    ctx.record_metric("ode_steps_accepted", m.ode_steps_accepted as f64);
-    ctx.record_metric("ode_steps_rejected", m.ode_steps_rejected as f64);
-    ctx.record_metric("lu_factorizations", m.lu_factorizations as f64);
-    ctx.record_metric("dense_lu_fallbacks", m.dense_lu_fallbacks as f64);
-    ctx.record_metric("ode_events_located", m.ode_events_located as f64);
-    ctx.record_metric("ssa_events", m.ssa_events as f64);
-    ctx.record_metric("tau_leaps", m.tau_leaps as f64);
-    ctx.record_metric("tau_leaps_implicit", m.tau_leaps_implicit as f64);
-    ctx.record_metric("newton_iterations", m.newton_iterations as f64);
-    ctx.record_metric("leap_switchovers", m.leap_switchovers as f64);
-    ctx.record_metric("hybrid_slow_events", m.hybrid_slow_events as f64);
-    ctx.record_metric("hybrid_fast_steps", m.hybrid_fast_steps as f64);
-    ctx.record_metric("hybrid_repartitions", m.hybrid_repartitions as f64);
-    ctx.record_metric("batch_width", m.batch_width as f64);
-    ctx.record_metric("lanes_retired", m.lanes_retired as f64);
-    ctx.record_metric("final_time", m.final_time);
-    ctx.record_metric("seed", m.seed as f64);
+    for (name, value) in m.columns() {
+        ctx.record_metric(name, value);
+    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,12 @@
 //! latency, not integration error, was the deviation (5.6e-4 of the
 //! amplitude on the 3-bit counter at ratio 150, at `1e-5`/`1e-10`).
 //!
+//! The test also prints each harness run's accepted and rejected trial
+//! steps, and the harness runs together may reject at most
+//! [`MAX_REJECTED_FRACTION`] of their trial steps. The step controller's
+//! predictive rule rejects about 6 % of them here; the memoryless
+//! elementary rule it replaced rejected 28 %, each a whole wasted step.
+//!
 //! The reference runs take seconds each in release and minutes
 //! unoptimized, so the test is ignored by default; `ci.sh` runs it with
 //!
@@ -42,6 +48,9 @@ const RATIOS: [f64; 2] = [150.0, 6.0e4];
 /// Lognormal jitter σ of every rate constant (E7's smallest setting,
 /// as in `ode_sweep`).
 const JITTER_SIGMA: f64 = 0.25;
+/// Largest share of the harness runs' trial steps, summed over every
+/// cell, that the step controller may reject.
+const MAX_REJECTED_FRACTION: f64 = 0.15;
 
 /// One circuit of the `ode_sweep` benchmark with its input stream.
 struct Circuit {
@@ -124,16 +133,19 @@ fn run(
     (SyncRun::from_trace(&c.system, trace), sink.get())
 }
 
-/// What one cell reports: its worst deviation, and the located firings
-/// of its harness and reference runs.
+/// What one cell reports: its worst deviation, the located firings of
+/// its harness and reference runs, and the harness run's accepted and
+/// rejected trial steps.
 struct CellReport {
     worst: f64,
     located: (u64, u64),
+    harness_steps: (u64, u64),
 }
 
 /// The largest deviation of any register in any of the first `cycles`
 /// cycles of cell `k` of `c`, at the harness tolerances from the
-/// reference, with both runs' located firings.
+/// reference, with both runs' located firings and the harness run's
+/// trial steps.
 fn deviation(c: &Circuit, k: usize) -> CellReport {
     let cycles = c.samples.len();
     // four clock cycles (the rest state and three inputs) of about 13
@@ -185,6 +197,10 @@ fn deviation(c: &Circuit, k: usize) -> CellReport {
             harness_metrics.ode_events_located,
             reference_metrics.ode_events_located,
         ),
+        harness_steps: (
+            harness_metrics.ode_steps_accepted,
+            harness_metrics.ode_steps_rejected,
+        ),
     }
 }
 
@@ -208,23 +224,36 @@ fn harness_tolerances_track_a_tight_reference_on_every_circuit() {
             .collect()
     });
     let mut failures = Vec::new();
+    let (mut accepted, mut rejected) = (0u64, 0u64);
     for (&(c, k), report) in cells.iter().zip(&reports) {
         let ratio = RATIOS[k];
         let worst = report.worst;
         eprintln!(
             "{:<9} ratio {ratio:>7}: {worst:.2e} ({:.1e} of the amplitude), \
-             located firings {} (reference {})",
+             located firings {} (reference {}), harness steps {} accepted {} rejected",
             c.name,
             worst / c.amplitude,
             report.located.0,
-            report.located.1
+            report.located.1,
+            report.harness_steps.0,
+            report.harness_steps.1
         );
         if worst > BOUND * c.amplitude {
             failures.push(format!("{} ratio {ratio}: {worst:.3e}", c.name));
         }
+        accepted += report.harness_steps.0;
+        rejected += report.harness_steps.1;
     }
+    let trials = accepted + rejected;
+    let rejected_fraction = rejected as f64 / trials as f64;
+    eprintln!("harness runs: {rejected} of {trials} trial steps rejected ({rejected_fraction:.3})");
     assert!(
         failures.is_empty(),
         "deviations beyond {BOUND} of the amplitude: {failures:?}"
+    );
+    assert!(
+        rejected_fraction <= MAX_REJECTED_FRACTION,
+        "the harness runs rejected {rejected} of {trials} trial steps \
+         ({rejected_fraction:.3} > {MAX_REJECTED_FRACTION})"
     );
 }

@@ -453,10 +453,10 @@ fn counter2_ode_trajectories_match_their_golden_hashes() {
     check_ode(
         &counter2(),
         [
-            0xa180_f287_3134_5384,
-            0xf89d_8258_3991_4eff,
-            0x3829_5f3a_99b0_1a5f,
-            0x98ef_cf14_205c_a944,
+            0x730f_b5c8_f06e_e1f3,
+            0x8c82_2415_3f0e_d2ef,
+            0x981c_6d7e_0571_8d4f,
+            0x92b3_227d_3ba0_2416,
         ],
         [[1, 0, 1, 0], [2, 1, 0, 0], [3, 2, 1, 0]],
     );
@@ -467,10 +467,10 @@ fn moving_average2_ode_trajectories_match_their_golden_hashes() {
     check_ode(
         &filter2(),
         [
-            0xa212_2c1c_4044_4316,
-            0xe5a6_c747_93fb_30e9,
-            0xc526_499e_4654_90a5,
-            0xae51_e3c7_5c45_2da2,
+            0x35b3_5f80_40d1_63ab,
+            0xa60c_31fc_3274_7947,
+            0x5eb0_0f42_5340_f6eb,
+            0x94f5_1e9d_8aff_68bc,
         ],
         [[0, 1, 1, 0], [1, 2, 0, 0], [2, 3, 1, 0]],
     );
@@ -519,7 +519,7 @@ fn cycle_harness_runs_match_their_golden_hashes() {
     let hashes = [drive_hash(&counter2()), drive_hash(&filter2())];
     assert_eq!(
         hashes,
-        [0x7743_7f4d_408d_2941, 0x1988_9cf1_c214_d867],
+        [0xc478_6c55_c88c_6e1a, 0xb43b_0112_da41_6c6d],
         "harness hashes moved: {hashes:x?}"
     );
 }
@@ -652,12 +652,12 @@ fn cycle_harness_prefixes_match_their_golden_hashes() {
     assert_eq!(
         hashes,
         [
-            0xa150_dd24_e450_70af,
-            0x2a9a_099c_48fa_5bb8,
-            0xa150_dd24_e450_70af,
-            0x2a9a_099c_48fa_5bb8,
-            0x6311_0f0c_55c7_9828,
-            0xa150_dd24_e450_70af,
+            0xc863_157e_039c_8783,
+            0x23d9_323d_6386_d576,
+            0xc863_157e_039c_8783,
+            0x23d9_323d_6386_d576,
+            0x6224_9f16_0029_f1ec,
+            0xc863_157e_039c_8783,
         ],
         "harness prefix hashes moved: {hashes:x?}"
     );
